@@ -59,8 +59,6 @@ def _add_shared(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--cvals", type=int, default=40, help="kernel parameter count M")
     sp.add_argument("--t-min", type=float, default=-10.0, help="lattice horizon (negative)")
     sp.add_argument("--seed", type=int, default=0, help="RNG seed for Monte Carlo paths")
-    sp.add_argument("--threads", type=int, default=0,
-                    help="cap worker threads (0 = library default); never changes results")
     sp.add_argument("--tolerance", type=float, default=None,
                     help="override the solver coordinate tolerance")
     sp.add_argument("--config", help="key=value file of defaults (command line wins)")
@@ -234,6 +232,14 @@ def _write_plot(args: argparse.Namespace, p: Problem, grid, env, values) -> None
         )
 
 
+def _print_convergence(report: solver.SolveReport) -> None:
+    print(f"max normalized residual {report.max_residual:.3e}"
+          f" (tolerance {solver.RESIDUAL_TOLERANCE:.0e})")
+    print(f"convergence reason {report.convergence_reason},"
+          f" descent exhausted: {report.descent_exhausted}")
+    print(f"polish status {report.polish_status}, nfev {report.polish_nfev}")
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     p = _get_problem(args)
     grid, cgrid, env = _envelope(p, args, args.iterations)
@@ -267,6 +273,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"asymptotic check unavailable: {exc}")
     print(f"objective {report.objective:.10f} after {report.iterations} sweeps"
           f" (converged: {report.converged})")
+    _print_convergence(report)
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
@@ -352,6 +359,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = solver.solve(p, cgrid, env, _solver_config(args))
         if not report.converged:
             print("solver did not converge")
+            _print_convergence(report)
             return EXIT_NO_CONVERGENCE
         t_min = args.t_min if label == "linear" else max(args.t_min, -4.0)
         x_steps = args.x_steps if label == "linear" else max(args.x_steps, 3000)
@@ -398,11 +406,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.threads and args.threads > 0:
-        # Caps BLAS/OpenMP pools; the library's own numerics are sequential,
-        # so results are identical for any cap.
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(args.threads))
     try:
         _apply_config(args, argv)
         if args.nodes < 2 or args.cvals < 1:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -150,7 +151,10 @@ class ResidualVector:
         return float(self.penalties.sum())
 
 
-_weight_cache: dict = {}
+# Problem -> {(node bytes, c, quadrature spec): weights}.  Keyed by the
+# problem object itself (``Problem`` hashes by identity), so an entry dies
+# with its problem and a later problem can never read it.
+_weight_cache = weakref.WeakKeyDictionary()
 _cache_lock = threading.Lock()
 
 
@@ -172,13 +176,14 @@ def segment_weights(
     The weights are plain integrals and are defined for any ``c``;
     admissibility (``c > sqrt(2r)``) is enforced where the integral
     identity itself is evaluated.
-    Results are cached per (problem, node set, parameter): the solver mutates
-    only values, so the weights are computed once per grid and reused by
-    every objective evaluation.
+    Results are cached per (problem, node set, parameter, quadrature spec)
+    for as long as the problem object lives: the solver mutates only
+    values, so the weights are computed once per grid and reused by every
+    objective evaluation.
     """
-    key = (id(p), grid.nodes.tobytes(), float(c))
+    key = (grid.nodes.tobytes(), float(c), spec)
     with _cache_lock:
-        hit = _weight_cache.get(key)
+        hit = _weight_cache.get(p, {}).get(key)
     if hit is not None:
         return hit
     nodes = grid.nodes
@@ -195,7 +200,7 @@ def segment_weights(
             w[n] += weight * math.exp(c * loc)
     w.setflags(write=False)
     with _cache_lock:
-        _weight_cache[key] = w
+        _weight_cache.setdefault(p, {})[key] = w
     return w
 
 

@@ -296,8 +296,5 @@ def mc_value(
     t_stop = t0 + stop_step * dt
     payoff = np.exp(-p.r * t_stop) * np.array([p.h(x) for x in stop_x])
     est = float(payoff.mean())
-    if paths > 1:
-        se = float(payoff.std(ddof=1) / math.sqrt(paths))
-    else:
-        se = 0.0
+    se = float(payoff.std(ddof=1) / math.sqrt(paths))
     return est, se

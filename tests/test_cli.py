@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from stopbound import cli
+from stopbound import cli, solver
 
 
 def _read_csv(path):
@@ -104,6 +104,33 @@ class TestSolve:
         d = np.array([float(r[1]) for r in rows])
         assert d[0] == 0.0
         assert np.all(np.diff(d) <= 1e-12)
+
+    def test_prints_convergence(self, tmp_path, capsys):
+        rc = cli.main(
+            ["solve", "--problem", "linear", "--nodes", "20", "--cvals", "10",
+             "--out-dir", str(tmp_path)]
+        )
+        assert rc == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "max normalized residual" in out
+        assert "convergence reason residual_bound, descent exhausted: False" in out
+        assert "polish status" in out
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_unconverged_exit_code(self, command, tmp_path, capsys, monkeypatch):
+        # No polished point can meet a zero residual bound, and two sweeps
+        # cannot stall: the solve ends unconverged on its budget.
+        monkeypatch.setattr(solver, "RESIDUAL_TOLERANCE", 0.0)
+        monkeypatch.setattr(
+            cli, "_solver_config",
+            lambda args, **kw: solver.SolverConfig(max_iterations=2, **kw),
+        )
+        rc = cli.main(
+            [command, "--problem", "linear", "--nodes", "12", "--cvals", "8",
+             "--out-dir", str(tmp_path)]
+        )
+        assert rc == cli.EXIT_NO_CONVERGENCE
+        assert "convergence reason budget" in capsys.readouterr().out
 
 
 class TestOracle:

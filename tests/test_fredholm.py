@@ -1,10 +1,13 @@
 """Kernel integrals, identity residuals and the penalized objective."""
 
+import gc
 import math
 
 import numpy as np
 import pytest
 
+from stopbound import bounds as bounds_mod
+from stopbound import fredholm
 from stopbound.constants import stadje_alpha
 from stopbound.fredholm import (
     BoundaryGrid,
@@ -18,7 +21,7 @@ from stopbound.fredholm import (
     tabulate,
     verify_closed_form,
 )
-from stopbound.problem import Problem, builtin
+from stopbound.problem import Problem, american_put, builtin
 
 
 @pytest.fixture()
@@ -109,6 +112,37 @@ class TestSegmentWeights:
         w2 = segment_weights(linear, g, 2.0)
         assert w1 is w2
         assert not w1.flags.writeable
+
+    def test_cache_entries_die_with_their_problem(self):
+        p = builtin("linear")
+        g = BoundaryGrid.uniform(p, 12)
+        segment_weights(p, g, 2.0)
+        assert p in fredholm._weight_cache
+        held = len(fredholm._weight_cache)
+        del p
+        gc.collect()
+        assert len(fredholm._weight_cache) == held - 1
+
+    def test_cache_never_serves_another_problem(self):
+        # Scaling the payoff leaves the boundary, and so the certified
+        # envelope, unchanged.  Problems built and dropped in turn must each
+        # get their own weights, even when a new one reuses a dead one's id().
+        fredholm.clear_weight_cache()
+        base = american_put()
+        nodes = BoundaryGrid.uniform(base, 60).nodes
+        cgrid = CGrid.for_problem(base, 40)
+        ref = bounds_mod.iterate(base, nodes, cgrid, 3)
+        differ = 0
+        for k in np.linspace(0.5, 6.0, 12):
+            env = bounds_mod.iterate(american_put().scaled(float(k)), nodes, cgrid, 3)
+            differ += not (
+                np.array_equal(env.lower.values, ref.lower.values)
+                and np.array_equal(env.upper.values, ref.upper.values)
+            )
+        gc.collect()
+        assert differ == 0
+        assert base in fredholm._weight_cache
+        assert len(fredholm._weight_cache) == 1
 
 
 class TestResidual:

@@ -123,6 +123,91 @@ class TestFullSolve:
         assert np.max(np.abs(a.grid.values - b.grid.values)) <= 1e-6
 
 
+# The boundary that 500 descent sweeps plus the polish reach for `linear` at
+# 30 nodes x 15 kernel parameters (3 envelope iterations, asymptotic seed),
+# recorded from a solver that always ran the whole sweep budget.
+LINEAR_30x15_500_SWEEPS = np.array(
+    [
+        0.000000000000, -0.001666361778, -0.005882176192, -0.013119001767,
+        -0.023324761852, -0.036413209980, -0.052222021427, -0.070814367380,
+        -0.094756889101, -0.132749777004, -0.178963780101, -0.228609009281,
+        -0.278268925881, -0.326131649790, -0.372093416082, -0.417747232211,
+        -0.466274283139, -0.522235732322, -0.591230854178, -0.679358075622,
+        -0.792413430598, -0.934828780839, -1.108525701354, -1.312087951209,
+        -1.540735617814, -1.787321513906, -2.044078973731, -2.304522987154,
+        -4.265469827200, -50.000000000000,
+    ]
+)
+
+
+@pytest.fixture(scope="module")
+def linear30(linear):
+    nodes = BoundaryGrid.uniform(linear, 30).nodes
+    cgrid = CGrid.for_problem(linear, 15)
+    return linear, cgrid, bounds_mod.iterate(linear, nodes, cgrid, 3)
+
+
+class TestSweepPolishSchedule:
+    def test_spurious_polish_after_four_sweeps(self, linear30, monkeypatch):
+        # A polish after exactly 4 sweeps lands on a spurious point here;
+        # polishing only then must leave the solve unconverged.
+        p, cgrid, env = linear30
+        monkeypatch.setattr(solver, "_polish_due", lambda k: k == 4)
+        rep = solver.solve(p, cgrid, env, solver.SolverConfig(max_iterations=4))
+        assert not rep.converged
+        assert rep.convergence_reason == "budget" and rep.descent_exhausted
+        assert rep.polish_status is None and rep.polish_nfev is None
+        assert rep.max_residual > solver.RESIDUAL_TOLERANCE
+
+    def test_rejects_spurious_polish_and_polishes_again(self, linear30, monkeypatch):
+        p, cgrid, env = linear30
+        monkeypatch.setattr(solver, "_polish_due", lambda k: k >= 4 and k & (k - 1) == 0)
+        rep = solver.solve(p, cgrid, env)
+        assert rep.iterations == 8
+        assert rep.converged and rep.convergence_reason == "residual_bound"
+        assert np.max(np.abs(rep.grid.values - LINEAR_30x15_500_SWEEPS)) <= 1e-7
+
+    @pytest.mark.parametrize("mode", ["asymptotic", "envelope_midpoint"])
+    def test_converged_meets_residual_bound(self, linear30, mode):
+        p, cgrid, env = linear30
+        rep = solver.solve(p, cgrid, env, solver.SolverConfig(seed_mode=mode))
+        assert rep.converged and rep.convergence_reason == "residual_bound"
+        assert rep.max_residual <= solver.RESIDUAL_TOLERANCE
+        assert rep.polish_status > 0 and rep.polish_nfev > 0
+        assert not rep.descent_exhausted
+        # max|R| / max|lap|, recomputed from the reported residuals
+        scale = max(abs(p.laplace_h_tilde(c)) for c in cgrid.values)
+        assert rep.max_residual == pytest.approx(
+            np.max(np.abs(rep.residual_vector.residuals)) / scale, rel=1e-9
+        )
+        assert np.max(np.abs(rep.grid.values - LINEAR_30x15_500_SWEEPS)) <= 1e-7
+
+    def test_polish_that_misses_the_bound_is_not_convergence(self, linear30, monkeypatch):
+        p, cgrid, env = linear30
+        monkeypatch.setattr(solver, "RESIDUAL_TOLERANCE", 1e-12)
+        rep = solver.solve(p, cgrid, env, solver.SolverConfig(max_iterations=3))
+        assert not rep.converged and rep.convergence_reason == "budget"
+        assert rep.polish_status is None
+
+    def test_descent_alone_does_not_converge_on_budget(self, linear30):
+        p, cgrid, env = linear30
+        rep = solver.solve(
+            p, cgrid, env, solver.SolverConfig(max_iterations=3, polish=False)
+        )
+        assert rep.iterations == 3
+        assert not rep.converged and rep.convergence_reason == "budget"
+
+    def test_sweep_budgets_agree(self, linear30):
+        p, cgrid, env = linear30
+        boundaries = []
+        for budget in range(1, 7):
+            rep = solver.solve(p, cgrid, env, solver.SolverConfig(max_iterations=budget))
+            assert rep.converged
+            boundaries.append(rep.grid.values)
+        for values in boundaries:
+            assert np.max(np.abs(values - LINEAR_30x15_500_SWEEPS)) <= 1e-7
+
+
 class TestAsymptoticCheck:
     def _report(self, linear, values, converged=True):
         g = BoundaryGrid.uniform(linear, 12)
