@@ -1,6 +1,6 @@
 """Benchmark the JIT kernel variants against the pure-NumPy fallbacks.
 
-Run:  python3 benchmarks/bench_kernels.py
+Run from the repository root:  PYTHONPATH=src python3 benchmarks/bench_kernels.py
 
 Each kernel is timed in both variants on solver-realistic shapes and the
 outputs are checked to agree to round-off, so this doubles as a consistency

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional
 
 import numpy as np
 
-from . import _kernels
-from .fredholm import BoundaryGrid, CGrid, segment_weights
+from . import _kernels, fredholm
+from .fredholm import BoundaryGrid, CGrid, Tabulation
 from .problem import Problem
 
 __all__ = [
@@ -52,18 +52,20 @@ _EXTENSION_FACTORS = np.geomspace(1.2, 4.0, 8)
 
 @dataclass
 class BoundaryEnvelope:
-    """Pointwise bounds ``lower <= d <= upper <= 0`` on a common node set."""
+    """Bounds ``lower <= d <= upper <= 0`` on common nodes, with their weights."""
 
     lower: BoundaryGrid
     upper: BoundaryGrid
     iteration: int
     lower_truncated: np.ndarray
+    tabulation: Tabulation
 
     def __post_init__(self):
         if not np.array_equal(self.lower.nodes, self.upper.nodes):
             raise ValueError("envelope sides must share their nodes")
         if np.any(self.lower.values > self.upper.values + 1e-12):
             raise ValueError("lower bound exceeds upper bound")
+        self.tabulation.require_nodes(self.lower.nodes)
 
     @property
     def widths(self) -> np.ndarray:
@@ -75,13 +77,6 @@ def extended_cvalues(p: Problem, cgrid: CGrid) -> np.ndarray:
     cgrid.require_admissible(p)
     c_max = cgrid.values[-1]
     return np.concatenate([cgrid.values, c_max * _EXTENSION_FACTORS])
-
-
-def _tabulate_extended(p: Problem, grid: BoundaryGrid, cvals: np.ndarray):
-    lap = np.array([p.laplace_h_tilde(c) for c in cvals])
-    W = np.vstack([segment_weights(p, grid, c) for c in cvals])
-    gam = cvals * cvals / 2.0 - p.r
-    return lap, W, gam
 
 
 def _default_t_max(p: Problem) -> float:
@@ -123,18 +118,17 @@ def _bisect_node(
 def lower_step(
     p: Problem,
     upper: BoundaryGrid,
-    cgrid: CGrid,
+    tab: Tabulation,
     tol: float = DEFAULT_BISECTION_TOL,
     t_max: Optional[float] = None,
 ) -> tuple[BoundaryGrid, np.ndarray]:
-    """Per-node lower bounds certified against the given upper bound.
+    """Per-node lower bounds certified against ``upper`` on ``tab``'s weights.
 
     Returns the new lower grid and a boolean truncation-flag array marking
     nodes where the bisection range ``[-t_max, 0]`` was exhausted.
     """
+    tab.require_nodes(upper.nodes)
     t_max = _default_t_max(p) if t_max is None else t_max
-    cvals = extended_cvalues(p, cgrid)
-    lap, W, gam = _tabulate_extended(p, upper, cvals)
     nodes = upper.nodes
     n = nodes.shape[0]
     out = np.zeros(n)
@@ -144,7 +138,7 @@ def lower_step(
 
         def cond(t: float) -> bool:
             d = np.where(tail, np.minimum(t, upper.values[:-1]), upper.values[:-1])
-            r = _kernels.residuals(lap, W, gam, np.ascontiguousarray(d))
+            r = _kernels.residuals(tab.lap, tab.W, tab.gam, np.ascontiguousarray(d))
             return bool(np.min(r) >= 0.0)
 
         if not cond(0.0):
@@ -161,14 +155,13 @@ def lower_step(
 def upper_step(
     p: Problem,
     lower: BoundaryGrid,
-    cgrid: CGrid,
+    tab: Tabulation,
     tol: float = DEFAULT_BISECTION_TOL,
     t_max: Optional[float] = None,
 ) -> BoundaryGrid:
-    """Per-node upper bounds certified against the given lower bound."""
+    """Per-node upper bounds certified against ``lower`` on ``tab``'s weights."""
+    tab.require_nodes(lower.nodes)
     t_max = _default_t_max(p) if t_max is None else t_max
-    cvals = extended_cvalues(p, cgrid)
-    lap, W, gam = _tabulate_extended(p, lower, cvals)
     nodes = lower.nodes
     n = nodes.shape[0]
     out = np.zeros(n)
@@ -177,7 +170,7 @@ def upper_step(
 
         def ok(t: float) -> bool:
             d = np.where(head, np.maximum(t, lower.values[:-1]), lower.values[:-1])
-            r = _kernels.residuals(lap, W, gam, np.ascontiguousarray(d))
+            r = _kernels.residuals(tab.lap, tab.W, tab.gam, np.ascontiguousarray(d))
             return bool(np.max(r) <= 0.0)
 
         if ok(0.0):
@@ -208,10 +201,9 @@ def initial_envelope(
     """Zero upper bound plus one certified lower step against it."""
     nodes = np.asarray(nodes, dtype=float)
     upper = BoundaryGrid(nodes=nodes, values=np.zeros(nodes.shape[0]))
-    lower, truncated = lower_step(p, upper, cgrid, tol, t_max)
-    return BoundaryEnvelope(
-        lower=lower, upper=upper, iteration=0, lower_truncated=truncated
-    )
+    tab = fredholm.tabulate(p, upper, CGrid(extended_cvalues(p, cgrid)))
+    lower, truncated = lower_step(p, upper, tab, tol, t_max)
+    return BoundaryEnvelope(lower, upper, 0, truncated, tab)
 
 
 def iterate(
@@ -237,18 +229,15 @@ def iterate(
         collect.append(env)
     for i in range(1, k + 1):
         if i % 2 == 1:
-            upper = upper_step(p, env.lower, cgrid, tol, t_max)
+            upper = upper_step(p, env.lower, env.tabulation, tol, t_max)
             vals = np.minimum(upper.values, env.upper.values)
-            env = BoundaryEnvelope(
-                env.lower, upper.with_values(vals), i, env.lower_truncated
-            )
+            env = replace(env, upper=upper.with_values(vals), iteration=i)
         else:
-            lower, truncated = lower_step(p, env.upper, cgrid, tol, t_max)
+            lower, truncated = lower_step(p, env.upper, env.tabulation, tol, t_max)
             # A certified bound never loosens: keep the better of old and new.
             vals = np.maximum(lower.values, env.lower.values)
-            env = BoundaryEnvelope(
-                lower.with_values(vals), env.upper, i, truncated & env.lower_truncated
-            )
+            env = replace(env, lower=lower.with_values(vals), iteration=i,
+                          lower_truncated=truncated & env.lower_truncated)
         log.info(
             "envelope iteration %d: max width %.6g", i, float(np.max(env.widths))
         )

@@ -300,10 +300,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                zip(ref.t_values, ref.boundary))
     if not p.b_inf_unbounded and math.isfinite(p.b_inf):
         nodes = np.linspace(0.0, p.b_inf, args.nodes)
-        dg, _trunc = oracle.extract_d(
-            oracle.backward_induction(p, args.t_min, None, args.t_steps, args.x_steps),
-            nodes,
-        )
+        dg, _trunc = oracle.extract_d(ref.coarse, nodes)
         _write_csv(args.out_dir, "oracle_yd.csv", ["y", "d"],
                    zip(dg.nodes, dg.values))
     print(f"b({args.t_min}) = {ref.boundary[0]:.6f}")

@@ -18,9 +18,7 @@ when every residual vanishes.
 from __future__ import annotations
 
 import math
-import threading
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +38,7 @@ __all__ = [
     "BoundaryGrid",
     "CGrid",
     "ResidualVector",
+    "Tabulation",
     "InadmissibleCError",
     "segment_weights",
     "tabulate",
@@ -48,7 +47,6 @@ __all__ = [
     "objective",
     "verify_closed_form",
     "closed_form_residual",
-    "clear_weight_cache",
 ]
 
 # Exponents below this make exp() underflow to exactly 0 in double precision;
@@ -151,16 +149,41 @@ class ResidualVector:
         return float(self.penalties.sum())
 
 
-# Problem -> {(node bytes, c, quadrature spec): weights}.  Keyed by the
-# problem object itself (``Problem`` hashes by identity), so an entry dies
-# with its problem and a later problem can never read it.
-_weight_cache = weakref.WeakKeyDictionary()
-_cache_lock = threading.Lock()
+@dataclass(frozen=True)
+class Tabulation:
+    """Read-only kernel arrays of ``nodes`` over the parameters ``c_values``:
+    ``lap[l] = laplace_h_tilde(c_l)``, ``W[l, n]`` the segment weights,
+    ``gam[l] = c_l**2/2 - r`` and ``c2[l] = c_l**2``."""
 
+    nodes: np.ndarray
+    c_values: np.ndarray
+    lap: np.ndarray
+    W: np.ndarray
+    gam: np.ndarray
+    c2: np.ndarray
 
-def clear_weight_cache() -> None:
-    with _cache_lock:
-        _weight_cache.clear()
+    def __post_init__(self):
+        for a in (self.nodes, self.c_values, self.lap, self.W, self.gam, self.c2):
+            a.setflags(write=False)
+
+    def require_nodes(self, nodes: np.ndarray) -> None:
+        if not np.array_equal(self.nodes, nodes):
+            raise ValueError("the tabulation was built on another node set")
+
+    def leading(self, cgrid: CGrid) -> "Tabulation":
+        """The rows of the first ``len(cgrid)`` parameters, which must be ``cgrid``."""
+        m = len(cgrid)
+        if not np.array_equal(self.c_values[:m], cgrid.values):
+            raise ValueError("the tabulation's parameters do not start with the grid's")
+        rows = (self.c_values, self.lap, self.W, self.gam, self.c2)
+        return Tabulation(self.nodes, *(a[:m] for a in rows))
+
+    def residual_vector(self, grid: BoundaryGrid) -> ResidualVector:
+        """Residuals and penalties of ``grid``'s values at every parameter."""
+        d = np.ascontiguousarray(grid.values[:-1])
+        R = _kernels.residuals(self.lap, self.W, self.gam, d)
+        pens = np.array([penalty(c, r) for c, r in zip(self.c_values, R)])
+        return ResidualVector(self.c_values.copy(), residuals=R, penalties=pens)
 
 
 def segment_weights(
@@ -175,17 +198,9 @@ def segment_weights(
     ``weight * exp(c * location)`` to the segment that contains them.
     The weights are plain integrals and are defined for any ``c``;
     admissibility (``c > sqrt(2r)``) is enforced where the integral
-    identity itself is evaluated.
-    Results are cached per (problem, node set, parameter, quadrature spec)
-    for as long as the problem object lives: the solver mutates only
-    values, so the weights are computed once per grid and reused by every
-    objective evaluation.
+    identity itself is evaluated.  Nothing is cached: a run shares its
+    weights through one :class:`Tabulation`.
     """
-    key = (grid.nodes.tobytes(), float(c), spec)
-    with _cache_lock:
-        hit = _weight_cache.get(p, {}).get(key)
-    if hit is not None:
-        return hit
     nodes = grid.nodes
     n_seg = nodes.shape[0] - 1
     w = np.empty(n_seg)
@@ -198,9 +213,6 @@ def segment_weights(
         if nodes[0] <= loc <= last:
             n = min(int(np.searchsorted(nodes, loc, side="right")) - 1, n_seg - 1)
             w[n] += weight * math.exp(c * loc)
-    w.setflags(write=False)
-    with _cache_lock:
-        _weight_cache.setdefault(p, {})[key] = w
     return w
 
 
@@ -209,18 +221,13 @@ def tabulate(
     grid: BoundaryGrid,
     cgrid: CGrid,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
-):
-    """Arrays (lap, W, gam, c2) consumed by the evaluation kernels.
-
-    ``lap[l] = laplace_h_tilde(c_l)``, ``W[l, n]`` the segment weights,
-    ``gam[l] = c_l**2/2 - r`` and ``c2[l] = c_l**2``.
-    """
+) -> Tabulation:
+    """The :class:`Tabulation` of ``grid``'s nodes over ``cgrid``, computed afresh."""
     cgrid.require_admissible(p)
-    cs = cgrid.values
+    cs = cgrid.values.copy()
     lap = np.array([p.laplace_h_tilde(c) for c in cs])
     W = np.vstack([segment_weights(p, grid, c, spec) for c in cs])
-    gam = cs * cs / 2.0 - p.r
-    return lap, W, gam, cs * cs
+    return Tabulation(grid.nodes.copy(), cs, lap, W, cs * cs / 2.0 - p.r, cs * cs)
 
 
 def residual(
@@ -258,10 +265,7 @@ def objective(
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> ResidualVector:
     """Residuals and penalties over the whole parameter grid."""
-    lap, W, gam, c2 = tabulate(p, grid, cgrid, spec)
-    R = _kernels.residuals(lap, W, gam, np.ascontiguousarray(grid.values[:-1]))
-    pens = np.array([penalty(c, r) for c, r in zip(cgrid.values, R)])
-    return ResidualVector(c_values=cgrid.values.copy(), residuals=R, penalties=pens)
+    return tabulate(p, grid, cgrid, spec).residual_vector(grid)
 
 
 def closed_form_residual(alpha: float, c: float) -> float:

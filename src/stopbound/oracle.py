@@ -70,12 +70,13 @@ class DPGrid:
 
 @dataclass
 class RefinedBoundary:
-    """Extrapolated boundary on the coarse time lattice."""
+    """Extrapolated boundary on the coarse time lattice, ``coarse``."""
 
     t_values: np.ndarray
     boundary: np.ndarray
     dt: float
     dx: float
+    coarse: DPGrid
 
     def at(self, t: float) -> float:
         return float(np.interp(t, self.t_values, self.boundary))
@@ -222,7 +223,7 @@ def refined_boundary(
     # dt/dx record the oracle's nominal resolution (the coarse lattice); the
     # finer companion run exists only to cancel the leading bias term.
     return RefinedBoundary(
-        t_values=coarse.t_values, boundary=b, dt=coarse.dt, dx=coarse.dx
+        t_values=coarse.t_values, boundary=b, dt=coarse.dt, dx=coarse.dx, coarse=coarse
     )
 
 

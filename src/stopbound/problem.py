@@ -15,7 +15,9 @@ integral.
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Tuple
 
@@ -57,7 +59,7 @@ class Problem:
     Attributes
     ----------
     label : str
-        Identifier used in reports and caches.
+        Identifier used in reports.
     r : float
         Discount rate per unit time (``r = 0`` is permitted only for
         closed-form verification problems).
@@ -367,7 +369,47 @@ def h_tilde_local(p: Problem) -> Tuple[float, float]:
     return p.beta, p.m_ratio
 
 
-_EXPR_NAMES = {"exp": math.exp, "log": math.log, "pow": pow, "max": max}
+_EXPR_CALLS = {"exp": math.exp, "log": math.log, "pow": pow, "max": max}
+_EXPR_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+    ast.USub: operator.neg,
+    ast.UAdd: operator.pos,
+}
+
+
+def _compile_expr(node: ast.AST) -> Callable[[float], float]:
+    """The function of ``y`` an expression tree computes.
+
+    Only numbers, the name ``y``, ``+ - * / **``, unary ``-``/``+`` and
+    calls to ``exp``, ``log``, ``pow`` and ``max`` are accepted; any other
+    node raises ``ValueError``, so no attribute, subscript, lambda or other
+    name can reach the interpreter.
+    """
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        value = node.value
+        return lambda y: value
+    if isinstance(node, ast.Name) and node.id == "y":
+        return lambda y: y
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPS:
+        op = _EXPR_OPS[type(node.op)]
+        left, right = _compile_expr(node.left), _compile_expr(node.right)
+        return lambda y: op(left(y), right(y))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_OPS:
+        op, operand = _EXPR_OPS[type(node.op)], _compile_expr(node.operand)
+        return lambda y: op(operand(y))
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in _EXPR_CALLS
+        and not node.keywords
+    ):
+        fn, args = _EXPR_CALLS[node.func.id], [_compile_expr(a) for a in node.args]
+        return lambda y: fn(*(a(y) for a in args))
+    raise ValueError(f"{ast.unparse(node)!r} is not allowed")
 
 
 def _parse_atoms(text: str) -> Tuple[Tuple[float, float], ...]:
@@ -410,12 +452,12 @@ def load_problem_file(path: str) -> Problem:
     if missing:
         raise ProblemFileError(f"{path}: missing required keys {sorted(missing)}")
     try:
-        code = compile(kv["htilde_expr"], "<htilde_expr>", "eval")
-    except SyntaxError as exc:
+        expr = _compile_expr(ast.parse(kv["htilde_expr"], "<htilde_expr>", "eval").body)
+    except (SyntaxError, ValueError) as exc:
         raise ProblemFileError(f"{path}: bad htilde_expr: {exc}") from exc
 
     def h_tilde(y: float) -> float:
-        return float(eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, "y": y}))
+        return float(expr(y))
 
     atoms = _parse_atoms(kv.get("atoms", ""))
     growth = float(kv.get("growth", "0.0"))

@@ -45,7 +45,7 @@ from scipy.optimize import least_squares
 from . import _kernels
 from .bounds import BoundaryEnvelope, _default_t_max
 from .constants import solve_B
-from .fredholm import BoundaryGrid, CGrid, ResidualVector, objective, tabulate
+from .fredholm import BoundaryGrid, CGrid, ResidualVector
 from .problem import Problem
 
 __all__ = [
@@ -260,10 +260,13 @@ def solve(
     """Minimize the penalized residual objective inside the envelope.
 
     Runs the sweep-polish schedule described in the module docstring.
+    It reads the first ``len(cgrid)`` rows of ``envelope.tabulation``, whose
+    parameters must start with ``cgrid``'s (``ValueError`` otherwise).
     Deterministic for fixed inputs.  ``converged=False`` (not an exception)
     reports a solve that never met the residual bound.
     """
     cgrid.require_admissible(p)
+    tab = envelope.tabulation.leading(cgrid)
     nodes = envelope.lower.nodes
     lower = envelope.lower.values.copy()
     upper = np.minimum(envelope.upper.values, 0.0)
@@ -271,7 +274,7 @@ def solve(
     d = start.values.copy()
     d[-1] = lower[-1]  # held: the residual loses all sensitivity to it
 
-    lap, W, gam, c2 = tabulate(p, start, cgrid)
+    lap, W, gam, c2 = tab.lap, tab.W, tab.gam, tab.c2
     scale = float(np.max(np.abs(lap)))
     if scale <= 0.0:
         raise ValueError("degenerate problem: vanishing transform on the whole grid")
@@ -325,7 +328,7 @@ def solve(
     return SolveReport(
         grid=grid,
         objective_trace=trace,
-        residual_vector=objective(p, grid, cgrid),
+        residual_vector=tab.residual_vector(grid),
         iterations=sweeps,
         converged=converged,
         max_residual=max_residual,

@@ -75,15 +75,15 @@ class TestInitialEnvelope:
 
 
 class TestSteps:
-    def test_upper_step_interior_negative(self, linear, cgrid, env0):
-        up = upper_step(linear, env0.lower, cgrid)
+    def test_upper_step_interior_negative(self, linear, env0):
+        up = upper_step(linear, env0.lower, env0.tabulation)
         assert up.values[0] == 0.0
         assert np.all(up.values[2:] < 0.0)
         assert np.all(up.values >= env0.lower.values)
 
-    def test_lower_step_respects_cap(self, linear, cgrid, env0):
-        up = upper_step(linear, env0.lower, cgrid)
-        low, _ = lower_step(linear, up, cgrid)
+    def test_lower_step_respects_cap(self, linear, env0):
+        up = upper_step(linear, env0.lower, env0.tabulation)
+        low, _ = lower_step(linear, up, env0.tabulation)
         assert np.all(low.values <= up.values + 1e-12)
 
     def test_extended_cvalues(self, linear, cgrid):
@@ -96,7 +96,7 @@ class TestSteps:
 class TestIterate:
     def test_first_iteration_matches_manual_steps(self, linear, cgrid, nodes, env0):
         env1 = iterate(linear, nodes, cgrid, 1)
-        manual = upper_step(linear, env0.lower, cgrid)
+        manual = upper_step(linear, env0.lower, env0.tabulation)
         assert np.array_equal(env1.lower.values, env0.lower.values)
         assert np.allclose(
             env1.upper.values, np.minimum(manual.values, 0.0), atol=1e-15
@@ -125,15 +125,17 @@ class TestIterate:
 
 
 class TestEnvelopeValidation:
-    def test_crossing_bounds_rejected(self, nodes):
+    def test_crossing_bounds_rejected(self, nodes, env0):
         lower = BoundaryGrid(nodes, np.zeros(nodes.shape[0]))
         vals = np.linspace(0.0, -1.0, nodes.shape[0])
         upper = BoundaryGrid(nodes, vals)
         with pytest.raises(ValueError):
-            BoundaryEnvelope(lower, upper, 0, np.zeros(nodes.shape[0], dtype=bool))
+            BoundaryEnvelope(lower, upper, 0, np.zeros(nodes.shape[0], dtype=bool),
+                             env0.tabulation)
 
-    def test_mismatched_nodes_rejected(self, linear, nodes):
+    def test_mismatched_nodes_rejected(self, linear, nodes, env0):
         other = BoundaryGrid.uniform(linear, N_NODES + 1)
         lower = BoundaryGrid(nodes, np.zeros(nodes.shape[0]))
         with pytest.raises(ValueError):
-            BoundaryEnvelope(lower, other, 0, np.zeros(nodes.shape[0], dtype=bool))
+            BoundaryEnvelope(lower, other, 0, np.zeros(nodes.shape[0], dtype=bool),
+                             env0.tabulation)

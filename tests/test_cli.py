@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from stopbound import cli, solver
+from stopbound import cli, oracle, solver
 
 
 def _read_csv(path):
@@ -144,6 +144,31 @@ class TestOracle:
         header, rows = _read_csv(tmp_path / "oracle_tb.csv")
         assert header == ["t", "b"]
         assert (tmp_path / "oracle_yd.csv").exists()
+
+    def test_coarse_lattice_runs_once(self, tmp_path, monkeypatch, capsys):
+        # oracle_yd.csv is read off the coarse lattice of the refined
+        # boundary: the command runs the coarse and the fine lattice only.
+        runs = []
+        lattice = oracle.backward_induction
+
+        def counted(*args, **kwargs):
+            runs.append(args)
+            return lattice(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "backward_induction", counted)
+        rc = cli.main(
+            ["oracle", "--problem", "linear", "--t-min", "-1.0",
+             "--t-steps", "64", "--x-steps", "64", "--nodes", "10",
+             "--out-dir", str(tmp_path)]
+        )
+        assert rc == cli.EXIT_OK
+        assert len(runs) == 2
+        p, nodes = runs[0][0], np.linspace(0.0, runs[0][0].b_inf, 10)
+        dg, _ = oracle.extract_d(lattice(p, -1.0, None, 64, 64), nodes)
+        header, rows = _read_csv(tmp_path / "oracle_yd.csv")
+        assert header == ["y", "d"]
+        expected = [[repr(float(y)), repr(float(d))] for y, d in zip(dg.nodes, dg.values)]
+        assert rows == expected
 
 
 class TestConfigAndManifest:

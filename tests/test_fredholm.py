@@ -1,13 +1,12 @@
 """Kernel integrals, identity residuals and the penalized objective."""
 
-import gc
 import math
 
 import numpy as np
 import pytest
 
 from stopbound import bounds as bounds_mod
-from stopbound import fredholm
+from stopbound import fredholm, solver
 from stopbound.constants import stadje_alpha
 from stopbound.fredholm import (
     BoundaryGrid,
@@ -106,28 +105,10 @@ class TestSegmentWeights:
         assert w[0] == pytest.approx(2.0 * math.exp(0.75))
         assert w[1] == 0.0
 
-    def test_cache_returns_same_array(self, linear):
-        g = BoundaryGrid.uniform(linear, 12)
-        w1 = segment_weights(linear, g, 2.0)
-        w2 = segment_weights(linear, g, 2.0)
-        assert w1 is w2
-        assert not w1.flags.writeable
-
-    def test_cache_entries_die_with_their_problem(self):
-        p = builtin("linear")
-        g = BoundaryGrid.uniform(p, 12)
-        segment_weights(p, g, 2.0)
-        assert p in fredholm._weight_cache
-        held = len(fredholm._weight_cache)
-        del p
-        gc.collect()
-        assert len(fredholm._weight_cache) == held - 1
-
     def test_cache_never_serves_another_problem(self):
         # Scaling the payoff leaves the boundary, and so the certified
         # envelope, unchanged.  Problems built and dropped in turn must each
         # get their own weights, even when a new one reuses a dead one's id().
-        fredholm.clear_weight_cache()
         base = american_put()
         nodes = BoundaryGrid.uniform(base, 60).nodes
         cgrid = CGrid.for_problem(base, 40)
@@ -139,10 +120,75 @@ class TestSegmentWeights:
                 np.array_equal(env.lower.values, ref.lower.values)
                 and np.array_equal(env.upper.values, ref.upper.values)
             )
-        gc.collect()
         assert differ == 0
-        assert base in fredholm._weight_cache
-        assert len(fredholm._weight_cache) == 1
+
+
+class TestTabulatedOnce:
+    """One envelope-then-solve run computes each weight exactly once."""
+
+    N_NODES, N_C = 24, 16
+
+    @pytest.fixture()
+    def quads(self, monkeypatch):
+        calls = []
+        quad = fredholm.integrate_finite
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(fredholm, "integrate_finite", counted)
+        return calls
+
+    def test_envelope_then_solve_counts(self, linear, quads):
+        nodes = BoundaryGrid.uniform(linear, self.N_NODES).nodes
+        cgrid = CGrid.for_problem(linear, self.N_C)
+        env = bounds_mod.iterate(linear, nodes, cgrid, 3)
+        assert len(quads) == (self.N_C + 8) * (self.N_NODES - 1)
+        del quads[:]
+        solver.solve(linear, cgrid, env)
+        assert quads == []
+
+    def test_solve_reads_envelope_rows(self, linear):
+        nodes = BoundaryGrid.uniform(linear, self.N_NODES).nodes
+        cgrid = CGrid.for_problem(linear, self.N_C)
+        env = bounds_mod.iterate(linear, nodes, cgrid, 2)
+        fresh = tabulate(linear, env.lower, cgrid)
+        rows = env.tabulation.leading(cgrid)
+        for name in ("c_values", "lap", "W", "gam", "c2"):
+            assert np.array_equal(getattr(rows, name), getattr(fresh, name))
+        report = solver.solve(linear, cgrid, env)
+        direct = objective(linear, report.grid, cgrid)
+        assert np.array_equal(report.residual_vector.residuals, direct.residuals)
+        assert np.array_equal(report.residual_vector.penalties, direct.penalties)
+
+    def test_foreign_parameters_rejected(self, linear):
+        nodes = BoundaryGrid.uniform(linear, 12).nodes
+        env = bounds_mod.initial_envelope(linear, nodes, CGrid.for_problem(linear, 6))
+        with pytest.raises(ValueError):
+            solver.solve(linear, CGrid.for_problem(linear, 6, step=0.2), env)
+        with pytest.raises(ValueError):
+            env.tabulation.leading(CGrid.for_problem(linear, 20))
+
+    def test_foreign_nodes_rejected(self, linear):
+        nodes = BoundaryGrid.uniform(linear, 12).nodes
+        env = bounds_mod.initial_envelope(linear, nodes, CGrid.for_problem(linear, 6))
+        other = BoundaryGrid.uniform(linear, 13)
+        with pytest.raises(ValueError):
+            bounds_mod.upper_step(linear, other, env.tabulation)
+        with pytest.raises(ValueError):
+            bounds_mod.lower_step(linear, other, env.tabulation)
+        with pytest.raises(ValueError):
+            bounds_mod.BoundaryEnvelope(other, other, 0, np.zeros(13, dtype=bool),
+                                        env.tabulation)
+
+    def test_arrays_read_only(self, linear):
+        g = BoundaryGrid.uniform(linear, 12)
+        tab = tabulate(linear, g, CGrid.for_problem(linear, 4))
+        with pytest.raises(ValueError):
+            tab.W[0, 0] = 1.0
+        g.nodes[1] += 1e-3  # the tabulation keeps its own copy of the nodes
+        assert not np.array_equal(tab.nodes, g.nodes)
 
 
 class TestResidual:
@@ -206,7 +252,8 @@ class TestObjective:
     def test_tabulate_shapes(self, linear):
         g = BoundaryGrid.uniform(linear, 12)
         cg = CGrid.for_problem(linear, 7)
-        lap, W, gam, c2 = tabulate(linear, g, cg)
+        tab = tabulate(linear, g, cg)
+        lap, W, gam, c2 = tab.lap, tab.W, tab.gam, tab.c2
         assert lap.shape == (7,) and W.shape == (7, 11)
         assert np.all(gam > 0.0)
         assert np.allclose(c2, cg.values**2)

@@ -22,7 +22,8 @@ def _fixture_arrays(n_nodes=20, n_c=12, seed=0):
     g = BoundaryGrid.uniform(p, n_nodes)
     g = g.with_values(-2.45 * g.nodes**2)
     cg = CGrid.for_problem(p, n_c)
-    lap, W, gam, c2 = fredholm.tabulate(p, g, cg)
+    tab = fredholm.tabulate(p, g, cg)
+    lap, W, gam, c2 = tab.lap, tab.W, tab.gam, tab.c2
     return p, g, cg, lap, W, gam, c2
 
 

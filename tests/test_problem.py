@@ -201,6 +201,40 @@ class TestProblemFile:
                 self._write(tmp_path, "r = 1\nb_inf = 1\nhtilde_expr = y +\n")
             )
 
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "max(0.0, ().__class__.__mro__[1].__subclasses__().__len__()) + 0*y",
+            "y.real",
+            "(y, 1)[0]",
+            "(lambda t: t)(y)",
+            "z * y",
+            "exp",
+            "True + y",
+            "'1' * 2",
+            "y < 1",
+            "exp(x=y)",
+            "exp(*[y])",
+        ],
+    )
+    def test_expression_outside_whitelist_rejected(self, tmp_path, expr):
+        with pytest.raises(ProblemFileError):
+            load_problem_file(
+                self._write(tmp_path, f"r = 1\nb_inf = 1\nhtilde_expr = {expr}\n")
+            )
+
+    def test_whitelisted_arithmetic(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            "r = 1\nb_inf = 1\n"
+            "htilde_expr = -2*y**2 + pow(y, 3)/4 - log(1 + y) + max(y, 0.5) - +y\n",
+        )
+        p = load_problem_file(path)
+        for y in (0.0, 0.3, 0.9):
+            assert p.h_tilde(y) == (
+                -2 * y**2 + pow(y, 3) / 4 - math.log(1 + y) + max(y, 0.5) - +y
+            )
+
     def test_missing_file(self):
         with pytest.raises(ProblemFileError):
             load_problem_file("/definitely/not/here.txt")

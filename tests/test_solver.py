@@ -22,8 +22,9 @@ def _wide_envelope(linear, n_nodes=20, depth=-40.0):
     nodes = BoundaryGrid.uniform(linear, n_nodes).nodes
     lower = BoundaryGrid(nodes, np.concatenate([[0.0], np.full(n_nodes - 1, depth)]))
     upper = BoundaryGrid(nodes, np.zeros(n_nodes))
+    tab = fredholm.tabulate(linear, upper, CGrid.for_problem(linear, 4))
     return bounds_mod.BoundaryEnvelope(
-        lower, upper, 0, np.zeros(n_nodes, dtype=bool)
+        lower, upper, 0, np.zeros(n_nodes, dtype=bool), tab
     )
 
 
