@@ -7,14 +7,31 @@ outputs are checked to agree to round-off, so this doubles as a consistency
 audit of the dual implementations.  Set ``STOPBOUND_NO_NUMBA=1`` before
 importing the package to force the fallback path in library code; this
 script times both variants explicitly regardless of the flag.
+
+The envelope steps and the segment-weight rule are timed against the loops
+they replaced, the references in ``tests/reference_loops.py``: the per-node
+scalar bisection with one full residual sum per probe, and one adaptive
+quadrature per segment and parameter.  The steps must match their reference
+exactly, the weights to 1e-12 relative.
 """
 
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from stopbound import _kernels as k
+from stopbound import bounds, fredholm
+from stopbound.problem import american_put
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from reference_loops import (  # noqa: E402
+    adaptive_weights,
+    reference_lower_step,
+    reference_upper_step,
+)
 
 
 def _time(fn, *args, repeat=5, **kwargs):
@@ -25,6 +42,45 @@ def _time(fn, *args, repeat=5, **kwargs):
         out = fn(*args, **kwargs)
         best = min(best, time.perf_counter() - t0)
     return best, out
+
+
+def steps_reference(p, env, tol=bounds.DEFAULT_BISECTION_TOL):
+    """Upper step against ``env.lower``, then lower step against that, node by node."""
+    tab, t_max = env.tabulation, 50.0 / p.r
+    up = env.lower.with_values(reference_upper_step(tab, env.lower, tol, t_max))
+    return up.values, reference_lower_step(tab, up, tol, t_max)[0]
+
+
+def steps_current(p, env):
+    up = bounds.upper_step(p, env.lower, env.tabulation)
+    return up.values, bounds.lower_step(p, up, env.tabulation)[0].values
+
+
+def rewrites(n_nodes=60, n_c=40):
+    """Time the envelope steps and the weight rule against their references."""
+    p = american_put(1.0, 0.5)
+    grid = fredholm.BoundaryGrid.uniform(p, n_nodes)
+    cgrid = fredholm.CGrid.for_problem(p, n_c)
+    env = bounds.initial_envelope(p, grid.nodes, cgrid)
+    cs = env.tabulation.c_values
+    rows = []
+
+    t_ref, ref = _time(steps_reference, p, env, repeat=1)
+    t_new, new = _time(steps_current, p, env)
+    if not all(np.array_equal(a, b) for a, b in zip(ref, new)):
+        raise AssertionError("envelope steps: lockstep and per-node bounds differ")
+    rows.append(("envelope steps", t_ref, t_new))
+
+    t_ref, ref = _time(adaptive_weights, p, grid.nodes, cs, repeat=1)
+    t_new, new = _time(fredholm.segment_weights, p, grid, cs)
+    if not np.max(np.abs(new - ref) / np.abs(ref)) <= 1e-12:
+        raise AssertionError("segment weights: rule and adaptive quadrature differ")
+    rows.append(("segment weights", t_ref, t_new))
+
+    print(f"american_put (1, 0.5), {n_nodes} nodes x {len(cs)} parameters")
+    print(f"{'rewrite':<22}{'reference (s)':>15}{'current (s)':>13}{'speedup':>10}")
+    for name, t_ref, t_new in rows:
+        print(f"{name:<22}{t_ref:>15.6f}{t_new:>13.6f}{t_ref / t_new:>10.1f}")
 
 
 def main() -> None:
@@ -104,6 +160,8 @@ def main() -> None:
             print(f"{name:<22}{t_np:>12.6f}{'-':>12}{'-':>10}")
         else:
             print(f"{name:<22}{t_np:>12.6f}{t_jit:>12.6f}{ratio:>10.1f}")
+    print()
+    rewrites()
 
 
 if __name__ == "__main__":

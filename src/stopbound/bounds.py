@@ -19,18 +19,23 @@ checks a finite grid extended geometrically up to four times its largest
 value, where sign flips concentrate.  The envelopes tighten across
 iterations but are known not to converge to the boundary, and nothing here
 assumes they do.
+
+The current bound is non-increasing, so a test boundary differs from it on
+one run of segments, found by ``searchsorted``.  A step builds the running
+sums over segments of ``exp(gam*bound)*W`` and of ``W`` once; every probe is
+then a few columns of those sums, and all nodes bisect together, one
+``(M, N)`` array operation per bisection step.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional
 
 import numpy as np
 
-from . import _kernels, fredholm
+from . import fredholm
 from .fredholm import BoundaryGrid, CGrid, Tabulation
 from .problem import Problem
 
@@ -93,26 +98,61 @@ def _monotone_from_left(v: np.ndarray) -> np.ndarray:
     return np.minimum.accumulate(v)
 
 
-def _bisect_node(
-    cond: Callable[[float], bool],
+def _prefix_sums(tab: Tabulation, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Running sums over segments of ``exp(gam*values)*W`` and of ``W``.
+
+    Both are ``(M, N)`` with a leading zero column, so the sum over segments
+    ``a..b-1`` is ``S[:, b] - S[:, a]``.
+    """
+    with np.errstate(under="ignore"):
+        terms = np.exp(tab.gam[:, None] * values[None, :]) * tab.W
+    zero = np.zeros((tab.W.shape[0], 1))
+    return (np.hstack([zero, np.cumsum(terms, axis=1)]),
+            np.hstack([zero, np.cumsum(tab.W, axis=1)]))
+
+
+def _block_residuals(
+    tab: Tabulation,
+    P: np.ndarray,
+    Wc: np.ndarray,
+    start: np.ndarray,
+    end: np.ndarray,
+    t: np.ndarray,
+) -> np.ndarray:
+    """Residuals ``(M, K)`` of ``K`` test boundaries at once.
+
+    Boundary ``i`` sits at level ``t[i]`` on segments ``start[i]..end[i]-1``
+    and at the values whose prefix sums are ``P`` everywhere else.
+    """
+    with np.errstate(under="ignore"):
+        e = np.exp(tab.gam[:, None] * t[None, :])
+    return (tab.lap[:, None] + P[:, start] + e * (Wc[:, end] - Wc[:, start])
+            + (P[:, -1:] - P[:, end]))
+
+
+def _lockstep_bisect(
+    below: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    nodes: np.ndarray,
     t_max: float,
     tol: float,
-) -> tuple[float, bool]:
-    """Smallest ``t`` in ``[-t_max, 0]`` with ``cond(t)`` true.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect ``[-t_max, 0]`` at every node in ``nodes`` together.
 
-    ``cond`` is monotone (true near 0, false for deep ``t``).  Returns the
-    level and a truncation flag set when ``cond`` holds on the whole range.
+    ``below(nodes, t)`` tells, per node, whether the sought level lies at or
+    below ``t``.  A node halves its bracket while it is wider than ``tol``,
+    exactly as often as a bisection of that node alone would.  Returns the
+    final ``(lo, hi)`` brackets.
     """
-    if cond(-t_max):
-        return -t_max, True
-    lo, hi = -t_max, 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if cond(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi, False
+    lo = np.full(nodes.shape, -t_max)
+    hi = np.zeros(nodes.shape)
+    active = np.flatnonzero(hi - lo > tol)
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        down = below(nodes[active], mid)
+        hi[active[down]] = mid[down]
+        lo[active[~down]] = mid[~down]
+        active = active[hi[active] - lo[active] > tol]
+    return lo, hi
 
 
 def lower_step(
@@ -129,25 +169,31 @@ def lower_step(
     """
     tab.require_nodes(upper.nodes)
     t_max = _default_t_max(p) if t_max is None else t_max
-    nodes = upper.nodes
-    n = nodes.shape[0]
+    n = upper.nodes.shape[0]
+    u = upper.values[:-1]
+    P, Wc = _prefix_sums(tab, u)
+    neg_u = -u
+
+    def holds(k: np.ndarray, t: np.ndarray) -> np.ndarray:
+        # Test boundary min(t, u_n) on segments k.. : u is non-increasing, so
+        # it sits at t on k..j-1 and at u_n from j = max(k, #{u_n >= t}) on.
+        j = np.maximum(k, np.searchsorted(neg_u, -t, side="right"))
+        return _block_residuals(tab, P, Wc, k, j, t).min(axis=0) >= 0.0
+
     out = np.zeros(n)
     truncated = np.zeros(n, dtype=bool)
-    for k in range(1, n):
-        tail = np.arange(n - 1) >= k  # segments whose left node is >= x
-
-        def cond(t: float) -> bool:
-            d = np.where(tail, np.minimum(t, upper.values[:-1]), upper.values[:-1])
-            r = _kernels.residuals(tab.lap, tab.W, tab.gam, np.ascontiguousarray(d))
-            return bool(np.min(r) >= 0.0)
-
-        if not cond(0.0):
-            # The current upper bound itself fails the certificate at this
-            # node (can only happen through accumulated tolerance); fall back
-            # to it rather than certify something tighter.
-            out[k] = upper.values[k]
-            continue
-        out[k], truncated[k] = _bisect_node(cond, t_max, tol)
+    k = np.arange(1, n)
+    fails = ~holds(k, np.zeros(k.shape))
+    # The current upper bound itself fails the certificate at these nodes
+    # (can only happen through accumulated tolerance); fall back to it
+    # rather than certify something tighter.
+    out[k[fails]] = upper.values[k[fails]]
+    k = k[~fails]
+    deep = holds(k, np.full(k.shape, -t_max))
+    out[k[deep]] = -t_max
+    truncated[k[deep]] = True
+    k = k[~deep]
+    out[k] = _lockstep_bisect(holds, k, t_max, tol)[1]
     out = _monotone_from_right(np.minimum(out, upper.values))
     return upper.with_values(out), truncated
 
@@ -162,31 +208,25 @@ def upper_step(
     """Per-node upper bounds certified against ``lower`` on ``tab``'s weights."""
     tab.require_nodes(lower.nodes)
     t_max = _default_t_max(p) if t_max is None else t_max
-    nodes = lower.nodes
-    n = nodes.shape[0]
+    n = lower.nodes.shape[0]
+    v = lower.values[:-1]
+    P, Wc = _prefix_sums(tab, v)
+    neg_v = -v
+
+    def holds(k: np.ndarray, t: np.ndarray) -> np.ndarray:
+        # Test boundary max(t, v_n) on segments ..k: v is non-increasing, so
+        # it keeps v_n up to j = #{v_n >= t} and sits at t on j..k.
+        end = np.minimum(k + 1, n - 1)
+        j = np.minimum(np.searchsorted(neg_v, -t, side="right"), end)
+        return _block_residuals(tab, P, Wc, j, end, t).max(axis=0) <= 0.0
+
     out = np.zeros(n)
-    for k in range(1, n):
-        head = np.arange(n - 1) <= k  # segments whose left node is <= x
-
-        def ok(t: float) -> bool:
-            d = np.where(head, np.maximum(t, lower.values[:-1]), lower.values[:-1])
-            r = _kernels.residuals(tab.lap, tab.W, tab.gam, np.ascontiguousarray(d))
-            return bool(np.max(r) <= 0.0)
-
-        if ok(0.0):
-            out[k] = 0.0
-            continue
-        if not ok(-t_max):
-            out[k] = lower.values[k]
-            continue
-        lo, hi = -t_max, 0.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if ok(mid):
-                lo = mid
-            else:
-                hi = mid
-        out[k] = lo
+    k = np.arange(1, n)
+    k = k[~holds(k, np.zeros(k.shape))]
+    infeasible = ~holds(k, np.full(k.shape, -t_max))
+    out[k[infeasible]] = lower.values[k[infeasible]]
+    k = k[~infeasible]
+    out[k] = _lockstep_bisect(lambda k, t: ~holds(k, t), k, t_max, tol)[0]
     out = _monotone_from_left(np.maximum(out, lower.values))
     return lower.with_values(np.minimum(out, 0.0))
 

@@ -53,6 +53,12 @@ __all__ = [
 # used to clamp before exponentiation, never to change a finite value.
 _EXP_FLOOR = -745.0
 
+# Points of the Gauss--Legendre rule for segment weights, and the relative
+# gap to the rule with twice the points beyond which a segment is
+# integrated adaptively.
+_GL_POINTS = 6
+_GL_GUARD_RTOL = 1e-12
+
 
 class InadmissibleCError(ValueError):
     """A kernel parameter at or below the admissibility limit sqrt(2r)."""
@@ -186,14 +192,37 @@ class Tabulation:
         return ResidualVector(self.c_values.copy(), residuals=R, penalties=pens)
 
 
+def _gauss_legendre(p: Problem, nodes: np.ndarray, cs: np.ndarray, q: int) -> np.ndarray:
+    """``(M, N-1)`` weights by the ``q``-point Gauss--Legendre rule per segment.
+
+    ``h_tilde`` is evaluated once per rule point, ``(N-1)*q`` calls whatever
+    the number of parameters; the ``c``-dependence is one exponential.
+    """
+    x, w = np.polynomial.legendre.leggauss(q)
+    half = 0.5 * np.diff(nodes)
+    y = (0.5 * (nodes[:-1] + nodes[1:]))[:, None] + half[:, None] * x
+    h = np.array([p.h_tilde(v) for v in y.ravel().tolist()]).reshape(y.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite fails the guard
+        return np.einsum("lnq,nq->ln", np.exp(cs[:, None, None] * y), h * half[:, None] * w)
+
+
 def segment_weights(
     p: Problem,
     grid: BoundaryGrid,
-    c: float,
+    c: float | np.ndarray,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> np.ndarray:
     """Kernel integrals ``w_n = integral_{y_n}^{y_{n+1}} exp(c*y) h_tilde(y) dy``.
 
+    ``c`` is one parameter (the result is ``(N-1,)``) or an array of them
+    (``(M, N-1)``).  Each segment takes a fixed 6-point Gauss--Legendre
+    rule, exact to round-off for integrands smooth on the segment.  The
+    rule is guarded by the 12-point rule: a segment where the two differ by
+    more than 1e-12 relative (with ``spec.absolute_tolerance`` as the floor)
+    is integrated adaptively at every ``c`` instead, which catches a kink of
+    a problem-file ``h_tilde``.  A rule that is not finite fails its guard
+    too, so a weight past the floating-point range raises ``OverflowError``
+    from the adaptive quadrature.
     Atoms of ``h_tilde`` located inside ``[0, b_inf]`` contribute
     ``weight * exp(c * location)`` to the segment that contains them.
     The weights are plain integrals and are defined for any ``c``;
@@ -203,17 +232,22 @@ def segment_weights(
     """
     nodes = grid.nodes
     n_seg = nodes.shape[0] - 1
-    w = np.empty(n_seg)
-    for n in range(n_seg):
-        w[n] = integrate_finite(
-            lambda y: math.exp(c * y) * p.h_tilde(y), nodes[n], nodes[n + 1], spec
-        )
+    cs = np.atleast_1d(np.asarray(c, dtype=float))
+    w = _gauss_legendre(p, nodes, cs, _GL_POINTS)
+    guard = _gauss_legendre(p, nodes, cs, 2 * _GL_POINTS)
+    floor = np.maximum(_GL_GUARD_RTOL * np.abs(guard), spec.absolute_tolerance)
+    passed = np.isfinite(guard) & (np.abs(w - guard) <= floor)
+    for n in np.flatnonzero(~np.all(passed, axis=0)):
+        for i, ci in enumerate(cs.tolist()):
+            w[i, n] = integrate_finite(
+                lambda y: math.exp(ci * y) * p.h_tilde(y), nodes[n], nodes[n + 1], spec
+            )
     last = nodes[-1]
     for loc, weight in p.atoms:
         if nodes[0] <= loc <= last:
             n = min(int(np.searchsorted(nodes, loc, side="right")) - 1, n_seg - 1)
-            w[n] += weight * math.exp(c * loc)
-    return w
+            w[:, n] += weight * np.exp(cs * loc)
+    return w if np.ndim(c) else w[0]
 
 
 def tabulate(
@@ -226,7 +260,7 @@ def tabulate(
     cgrid.require_admissible(p)
     cs = cgrid.values.copy()
     lap = np.array([p.laplace_h_tilde(c) for c in cs])
-    W = np.vstack([segment_weights(p, grid, c, spec) for c in cs])
+    W = segment_weights(p, grid, cs, spec)
     return Tabulation(grid.nodes.copy(), cs, lap, W, cs * cs / 2.0 - p.r, cs * cs)
 
 

@@ -369,7 +369,13 @@ def h_tilde_local(p: Problem) -> Tuple[float, float]:
     return p.beta, p.m_ratio
 
 
-_EXPR_CALLS = {"exp": math.exp, "log": math.log, "pow": pow, "max": max}
+# name: (function, fewest arguments, most arguments)
+_EXPR_CALLS = {
+    "exp": (math.exp, 1, 1),
+    "log": (math.log, 1, 2),
+    "pow": (pow, 2, 2),
+    "max": (max, 2, math.inf),
+}
 _EXPR_OPS = {
     ast.Add: operator.add,
     ast.Sub: operator.sub,
@@ -385,9 +391,10 @@ def _compile_expr(node: ast.AST) -> Callable[[float], float]:
     """The function of ``y`` an expression tree computes.
 
     Only numbers, the name ``y``, ``+ - * / **``, unary ``-``/``+`` and
-    calls to ``exp``, ``log``, ``pow`` and ``max`` are accepted; any other
-    node raises ``ValueError``, so no attribute, subscript, lambda or other
-    name can reach the interpreter.
+    calls to ``exp`` (1 argument), ``log`` (1 or 2), ``pow`` (2) and ``max``
+    (2 or more) are accepted; any other node or argument count raises
+    ``ValueError``, so no attribute, subscript, lambda or other name can
+    reach the interpreter, and no call can fail on its arity later.
     """
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
         value = node.value
@@ -407,7 +414,13 @@ def _compile_expr(node: ast.AST) -> Callable[[float], float]:
         and node.func.id in _EXPR_CALLS
         and not node.keywords
     ):
-        fn, args = _EXPR_CALLS[node.func.id], [_compile_expr(a) for a in node.args]
+        fn, fewest, most = _EXPR_CALLS[node.func.id]
+        if not fewest <= len(node.args) <= most:
+            raise ValueError(
+                f"{ast.unparse(node)!r}: {node.func.id}() cannot take "
+                f"{len(node.args)} argument(s)"
+            )
+        args = [_compile_expr(a) for a in node.args]
         return lambda y: fn(*(a(y) for a in args))
     raise ValueError(f"{ast.unparse(node)!r} is not allowed")
 

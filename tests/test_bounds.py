@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stopbound.bounds import (
+    DEFAULT_BISECTION_TOL,
     BoundaryEnvelope,
     extended_cvalues,
     initial_envelope,
@@ -13,7 +14,9 @@ from stopbound.bounds import (
 )
 from stopbound.constants import solve_B
 from stopbound.fredholm import BoundaryGrid, CGrid
-from stopbound.problem import builtin
+from stopbound.problem import builtin, american_put
+
+from reference_loops import reference_lower_step, reference_upper_step, residuals
 
 
 N_NODES = 24
@@ -139,3 +142,79 @@ class TestEnvelopeValidation:
         with pytest.raises(ValueError):
             BoundaryEnvelope(lower, other, 0, np.zeros(nodes.shape[0], dtype=bool),
                              env0.tabulation)
+
+
+class TestLockstepMatchesScalarBisection:
+    """The lockstep steps reproduce the per-node scalar bisection exactly."""
+
+    PROBLEMS = {
+        "linear": lambda: builtin("linear"),
+        "put_1_0.5": lambda: american_put(1.0, 0.5),
+        "put_0.6_0.45": lambda: american_put(0.6, 0.45),
+        "put_1.4_0.75": lambda: american_put(1.4, 0.75),
+    }
+
+    @pytest.mark.parametrize("grid", [(24, 16), (60, 40)])
+    @pytest.mark.parametrize("label", sorted(PROBLEMS))
+    def test_steps_bit_equal(self, label, grid):
+        p = self.PROBLEMS[label]()
+        n_nodes, n_c = grid
+        tol, t_max = DEFAULT_BISECTION_TOL, 50.0 / p.r  # the defaults
+        nodes = BoundaryGrid.uniform(p, n_nodes).nodes
+        env = initial_envelope(p, nodes, CGrid.for_problem(p, n_c))
+        tab = env.tabulation
+        zero = BoundaryGrid(nodes, np.zeros(n_nodes))
+        ref_low, ref_trunc = reference_lower_step(tab, zero, tol, t_max)
+        assert np.array_equal(env.lower.values, ref_low)
+        assert np.array_equal(env.lower_truncated, ref_trunc)
+        assert ref_trunc.any() and not ref_trunc.all()
+
+        up = upper_step(p, env.lower, tab)
+        assert np.array_equal(up.values, reference_upper_step(tab, env.lower, tol, t_max))
+
+        low, trunc = lower_step(p, up, tab)
+        ref_low, ref_trunc = reference_lower_step(tab, up, tol, t_max)
+        assert np.array_equal(low.values, ref_low)
+        assert np.array_equal(trunc, ref_trunc)
+
+    def test_small_t_max_truncates(self, linear, env0):
+        # Levels of about 1 are certified at the middle nodes, so a range of
+        # [-1, 0] truncates the deeper half of the nodes.
+        tab, t_max = env0.tabulation, 1.0
+        zero = env0.upper
+        low, trunc = lower_step(linear, zero, tab, t_max=t_max)
+        ref_low, ref_trunc = reference_lower_step(tab, zero, DEFAULT_BISECTION_TOL, t_max)
+        assert 1 < trunc.sum() < N_NODES - 1  # some nodes truncate, not all
+        assert np.array_equal(trunc, ref_trunc)
+        assert np.array_equal(low.values, ref_low)
+        assert np.all(low.values[trunc] == -t_max)
+
+        up = upper_step(linear, low, tab, t_max=t_max)
+        assert np.array_equal(
+            up.values, reference_upper_step(tab, low, DEFAULT_BISECTION_TOL, t_max)
+        )
+
+    def test_failing_upper_bound_falls_back(self, linear, env0):
+        # An "upper" bound below the lower one is not certified: the residual
+        # at the bound itself is negative, so every node keeps its value.
+        deep = env0.upper.with_values(2.0 * env0.lower.values)
+        assert np.min(residuals(env0.tabulation, deep.values[:-1])) < 0.0
+        low, trunc = lower_step(linear, deep, env0.tabulation)
+        ref_low, ref_trunc = reference_lower_step(
+            env0.tabulation, deep, DEFAULT_BISECTION_TOL, 50.0 / linear.r
+        )
+        assert np.array_equal(low.values, deep.values)
+        assert np.array_equal(low.values, ref_low)
+        assert not trunc.any() and not ref_trunc.any()
+
+    def test_infeasible_lower_bound_falls_back(self, linear, env0):
+        # A "lower" bound above the upper one makes every level infeasible at
+        # every node: each keeps the lower value, as the scalar loop does.
+        up = upper_step(linear, env0.lower, env0.tabulation)
+        shallow = env0.lower.with_values(0.5 * up.values)
+        got = upper_step(linear, shallow, env0.tabulation)
+        ref = reference_upper_step(
+            env0.tabulation, shallow, DEFAULT_BISECTION_TOL, 50.0 / linear.r
+        )
+        assert np.array_equal(got.values, ref)
+        assert np.array_equal(got.values, shallow.values)

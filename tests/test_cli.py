@@ -25,6 +25,20 @@ class TestUsage:
         )
         assert rc == cli.EXIT_USAGE
 
+    def test_problem_file_call_arity(self, tmp_path, capsys):
+        # A call with the wrong argument count is an error line at load
+        # time, not a traceback at the first quadrature.
+        path = tmp_path / "prob.txt"
+        path.write_text("r = 1\nb_inf = 0.7\nhtilde_expr = exp()\n", encoding="utf-8")
+        rc = cli.main(
+            ["solve", "--problem-file", str(path), "--nodes", "8", "--cvals", "4",
+             "--out-dir", str(tmp_path)]
+        )
+        assert rc != cli.EXIT_OK
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "exp() cannot take 0 argument(s)" in err
+
     def test_missing_problem(self, tmp_path, capsys):
         rc = cli.main(["solve", "--out-dir", str(tmp_path)])
         assert rc == cli.EXIT_USAGE

@@ -1,6 +1,7 @@
 """Kernel integrals, identity residuals and the penalized objective."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from stopbound.fredholm import (
     tabulate,
     verify_closed_form,
 )
-from stopbound.problem import Problem, american_put, builtin
+from stopbound.problem import Problem, american_put, builtin, load_problem_file
+
+from reference_loops import adaptive_weights
 
 
 @pytest.fixture()
@@ -105,10 +108,9 @@ class TestSegmentWeights:
         assert w[0] == pytest.approx(2.0 * math.exp(0.75))
         assert w[1] == 0.0
 
-    def test_cache_never_serves_another_problem(self):
+    def test_scaled_puts_share_the_envelope(self):
         # Scaling the payoff leaves the boundary, and so the certified
-        # envelope, unchanged.  Problems built and dropped in turn must each
-        # get their own weights, even when a new one reuses a dead one's id().
+        # envelope, unchanged.
         base = american_put()
         nodes = BoundaryGrid.uniform(base, 60).nodes
         cgrid = CGrid.for_problem(base, 40)
@@ -123,31 +125,94 @@ class TestSegmentWeights:
         assert differ == 0
 
 
-class TestTabulatedOnce:
-    """One envelope-then-solve run computes each weight exactly once."""
-
-    N_NODES, N_C = 24, 16
+class TestWeightRule:
+    """The fixed Gauss--Legendre rule against adaptive quadrature."""
 
     @pytest.fixture()
     def quads(self, monkeypatch):
         calls = []
         quad = fredholm.integrate_finite
 
-        def counted(*args, **kwargs):
-            calls.append(args[1:3])
-            return quad(*args, **kwargs)
+        def counted(f, a, b, *args, **kwargs):
+            calls.append((a, b))
+            return quad(f, a, b, *args, **kwargs)
 
         monkeypatch.setattr(fredholm, "integrate_finite", counted)
         return calls
 
-    def test_envelope_then_solve_counts(self, linear, quads):
-        nodes = BoundaryGrid.uniform(linear, self.N_NODES).nodes
-        cgrid = CGrid.for_problem(linear, self.N_C)
-        env = bounds_mod.iterate(linear, nodes, cgrid, 3)
-        assert len(quads) == (self.N_C + 8) * (self.N_NODES - 1)
-        del quads[:]
-        solver.solve(linear, cgrid, env)
-        assert quads == []
+    @pytest.mark.parametrize("grid", [(24, 16), (60, 40)])
+    @pytest.mark.parametrize(
+        "p",
+        [builtin("linear"), american_put(1.0, 0.5), american_put(0.6, 0.45),
+         american_put(1.4, 0.75)],
+        ids=lambda p: p.label,
+    )
+    def test_builtins_match_adaptive_quadrature(self, p, grid, quads):
+        nodes = BoundaryGrid.uniform(p, grid[0]).nodes
+        cs = bounds_mod.extended_cvalues(p, CGrid.for_problem(p, grid[1]))
+        w = segment_weights(p, BoundaryGrid(nodes, np.zeros(grid[0])), cs)
+        assert quads == []  # the rule passed its guard on every segment
+        ref = adaptive_weights(p, nodes, cs)
+        assert np.max(np.abs(w - ref) / np.abs(ref)) <= 1e-12
+
+    def test_kink_inside_a_segment_falls_back(self, tmp_path, quads):
+        path = tmp_path / "kink.txt"
+        path.write_text("r = 1\nb_inf = 1\nhtilde_expr = max(0, y - 0.3)\n")
+        p = load_problem_file(str(path))
+        nodes = BoundaryGrid.uniform(p, 12).nodes  # 0.3 lies in [3/11, 4/11]
+        cs = CGrid.for_problem(p, 10).values
+        w = segment_weights(p, BoundaryGrid(nodes, np.zeros(12)), cs)
+        assert set(quads) == {(nodes[3], nodes[4])}
+        assert len(quads) == len(cs)
+        ref = adaptive_weights(p, nodes, cs)
+        assert np.all(np.abs(w - ref) <= 1e-10 * np.abs(ref))
+        assert np.all(w[:, :3] == 0.0)
+
+    def test_overflowing_weights_raise(self, tmp_path):
+        # exp(c*y) passes the floating-point range past y ~ 709/c: there the
+        # rule is inf, or nan where h_tilde vanishes, and fails its guard.
+        # The adaptive fallback raises, as it did before the rule existed,
+        # rather than hand the envelope weights it cannot bound.
+        path = tmp_path / "overflow.txt"
+        path.write_text("r = 1\nb_inf = 40\nhtilde_expr = max(0, 1 - y)\n")
+        p = load_problem_file(str(path))
+        nodes = BoundaryGrid.uniform(p, 60).nodes
+        cgrid = CGrid.for_problem(p, 40)
+        assert bounds_mod.extended_cvalues(p, cgrid).max() * nodes[-1] > 709.8
+        with pytest.raises(OverflowError):
+            bounds_mod.iterate(p, nodes, cgrid, 3)
+
+    def test_scalar_parameter_is_a_row(self, linear):
+        g = BoundaryGrid.uniform(linear, 12)
+        cs = np.array([1.0, 2.5])
+        rows = segment_weights(linear, g, cs)
+        assert rows.shape == (2, 11)
+        for i, c in enumerate(cs):
+            assert np.array_equal(segment_weights(linear, g, c), rows[i])
+
+
+class TestTabulatedOnce:
+    """One envelope-then-solve run computes each weight exactly once."""
+
+    N_NODES, N_C = 24, 16
+
+    def test_envelope_then_solve_counts(self, linear):
+        # Each segment evaluates h_tilde at the 6 points of its rule and the
+        # 12 of the guard rule, once for all parameters; the solver never.
+        calls = []
+
+        def counted(y):
+            calls.append(y)
+            return linear.h_tilde(y)
+
+        p = replace(linear, h_tilde=counted)
+        nodes = BoundaryGrid.uniform(p, self.N_NODES).nodes
+        cgrid = CGrid.for_problem(p, self.N_C)
+        env = bounds_mod.iterate(p, nodes, cgrid, 3)
+        assert len(calls) == (self.N_NODES - 1) * (6 + 12)
+        del calls[:]
+        solver.solve(p, cgrid, env)
+        assert calls == []
 
     def test_solve_reads_envelope_rows(self, linear):
         nodes = BoundaryGrid.uniform(linear, self.N_NODES).nodes

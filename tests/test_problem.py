@@ -223,6 +223,26 @@ class TestProblemFile:
                 self._write(tmp_path, f"r = 1\nb_inf = 1\nhtilde_expr = {expr}\n")
             )
 
+    @pytest.mark.parametrize(
+        "expr",
+        ["exp()", "exp(y, 1)", "log()", "log(y, 2, 3)", "pow(y)", "pow(y, 2, 3)",
+         "max()", "max(y)", "1 + exp(max(y))"],
+    )
+    def test_call_arity_checked_at_load(self, tmp_path, expr):
+        with pytest.raises(ProblemFileError, match="argument"):
+            load_problem_file(
+                self._write(tmp_path, f"r = 1\nb_inf = 1\nhtilde_expr = {expr}\n")
+            )
+
+    def test_call_arity_limits_accepted(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            "r = 1\nb_inf = 1\nhtilde_expr = log(2 + y, 3) + max(y, 0.2, 0.4, -1)\n",
+        )
+        p = load_problem_file(path)
+        for y in (0.0, 0.3, 0.9):
+            assert p.h_tilde(y) == math.log(2 + y, 3) + max(y, 0.2, 0.4, -1)
+
     def test_whitelisted_arithmetic(self, tmp_path):
         path = self._write(
             tmp_path,
