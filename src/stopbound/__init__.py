@@ -8,7 +8,6 @@ residual minimization, and cross-checks everything against independent
 lattice and Monte Carlo reference solutions.
 """
 
-from ._kernels import using_numba
 from .bounds import BoundaryEnvelope, initial_envelope, iterate, lower_step, upper_step
 from .constants import (
     AsymptoticConstant,
@@ -36,7 +35,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "using_numba",
     "AsymptoticConstant",
     "solve_B",
     "stadje_alpha",

@@ -1,16 +1,9 @@
-"""Performance-critical numerical kernels with optional JIT compilation.
+"""Performance-critical numerical kernels, one NumPy implementation each.
 
-Every kernel exists in two functionally identical variants:
-
-* ``*_numpy`` -- pure NumPy (vectorised where possible), always available;
-* ``*_jit``   -- the same algorithm compiled with numba ``@njit``, available
-  when numba is importable.
-
-The module-level names (``residuals``, ``sweep``, ``dp_backward``,
-``mc_first_crossing``) dispatch to the JIT variant unless the environment
-variable ``STOPBOUND_NO_NUMBA`` is set to ``1``/``true`` or numba is not
-installed.  Both variants are exported so they can be benchmarked against
-each other; they must agree to floating-point round-off.
+The solver and the envelope read ``residuals``, ``surrogate_objective`` and
+``sweep``; the oracle reads ``dp_backward`` and ``mc_first_crossing``.
+Callers look every kernel up as an attribute of this module, so a profiler
+can wrap it in one place.
 
 Shapes used throughout:
 
@@ -25,23 +18,18 @@ Shapes used throughout:
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
+from scipy import sparse
 
 __all__ = [
-    "USING_NUMBA",
-    "using_numba",
     "residuals",
     "surrogate_objective",
     "sweep",
     "dp_backward",
+    "expectation_stencil",
+    "boundary_slice",
     "mc_first_crossing",
-    "residuals_numpy",
-    "surrogate_objective_numpy",
-    "sweep_numpy",
-    "dp_backward_numpy",
-    "mc_first_crossing_numpy",
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -50,22 +38,14 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SENTINEL = 1e12
 
 
-def _numba_disabled() -> bool:
-    return os.environ.get("STOPBOUND_NO_NUMBA", "0").lower() in ("1", "true", "yes")
-
-
-# ----------------------------------------------------------------------
-# NumPy reference implementations
-# ----------------------------------------------------------------------
-
-def residuals_numpy(lap, W, gam, dvals):
+def residuals(lap, W, gam, dvals):
     """Residual vector R(c_l; d) = lap_l + sum_n exp(gam_l * d_n) * W_ln."""
     with np.errstate(over="ignore", under="ignore"):
         E = np.exp(np.minimum(gam[:, None] * dvals[None, :], 700.0))
     return lap + (E * W).sum(axis=1)
 
 
-def surrogate_objective_numpy(lap, W, gam, c2, dvals):
+def surrogate_objective(lap, W, gam, c2, dvals):
     """Penalised objective with a finite graded sentinel past the pole.
 
     Inside the admissible region (1 + c^2 R > 0 for every c) this equals
@@ -73,7 +53,7 @@ def surrogate_objective_numpy(lap, W, gam, c2, dvals):
     returns ``1e12 * (1 + sum of squared violations)`` which is ordered so
     a minimiser can walk back into the admissible region.
     """
-    u = c2 * residuals_numpy(lap, W, gam, dvals)
+    u = c2 * residuals(lap, W, gam, dvals)
     bad = 1.0 + u
     if np.any(bad <= 0.0):
         v = np.minimum(bad, 0.0)
@@ -82,7 +62,7 @@ def surrogate_objective_numpy(lap, W, gam, c2, dvals):
     return float((s * s).sum())
 
 
-def sweep_numpy(lap, W, gam, c2, d, lower, upper, scan_points=25, node_tol=1e-9):
+def sweep(lap, W, gam, c2, d, lower, upper, scan_points=25, node_tol=1e-9):
     """One cyclic coordinate-descent sweep over the interior nodes.
 
     Each node ``n`` in ``1..N-2`` is minimised over the interval
@@ -93,7 +73,7 @@ def sweep_numpy(lap, W, gam, c2, d, lower, upper, scan_points=25, node_tol=1e-9)
     Returns ``(objective, max_move)``.
     """
     n_nodes = d.shape[0]
-    obj = surrogate_objective_numpy(lap, W, gam, c2, d[:-1])
+    obj = surrogate_objective(lap, W, gam, c2, d[:-1])
     max_move = 0.0
     for n in range(1, n_nodes - 1):
         lo = max(lower[n], d[n + 1])
@@ -106,30 +86,30 @@ def sweep_numpy(lap, W, gam, c2, d, lower, upper, scan_points=25, node_tol=1e-9)
         vals = np.empty(scan_points)
         for i, t in enumerate(ts):
             d[n] = t
-            vals[i] = surrogate_objective_numpy(lap, W, gam, c2, d[:-1])
+            vals[i] = surrogate_objective(lap, W, gam, c2, d[:-1])
         k = int(np.argmin(vals))
         a = ts[max(k - 1, 0)]
         b = ts[min(k + 1, scan_points - 1)]
         x1 = b - _GOLDEN * (b - a)
         x2 = a + _GOLDEN * (b - a)
         d[n] = x1
-        f1 = surrogate_objective_numpy(lap, W, gam, c2, d[:-1])
+        f1 = surrogate_objective(lap, W, gam, c2, d[:-1])
         d[n] = x2
-        f2 = surrogate_objective_numpy(lap, W, gam, c2, d[:-1])
+        f2 = surrogate_objective(lap, W, gam, c2, d[:-1])
         while b - a > node_tol:
             if f1 < f2:
                 b, x2, f2 = x2, x1, f1
                 x1 = b - _GOLDEN * (b - a)
                 d[n] = x1
-                f1 = surrogate_objective_numpy(lap, W, gam, c2, d[:-1])
+                f1 = surrogate_objective(lap, W, gam, c2, d[:-1])
             else:
                 a, x1, f1 = x1, x2, f2
                 x2 = a + _GOLDEN * (b - a)
                 d[n] = x2
-                f2 = surrogate_objective_numpy(lap, W, gam, c2, d[:-1])
+                f2 = surrogate_objective(lap, W, gam, c2, d[:-1])
         cand = 0.5 * (a + b)
         d[n] = cand
-        new_obj = surrogate_objective_numpy(lap, W, gam, c2, d[:-1])
+        new_obj = surrogate_objective(lap, W, gam, c2, d[:-1])
         if new_obj <= obj:
             obj = new_obj
             max_move = max(max_move, abs(cand - old))
@@ -138,31 +118,89 @@ def sweep_numpy(lap, W, gam, c2, d, lower, upper, scan_points=25, node_tol=1e-9)
     return obj, max_move
 
 
-def dp_backward_numpy(disc, hx, V, dt, x0, dx, gh_x, gh_w):
-    """Backward induction on a regular space-time grid (in place).
+def expectation_stencil(xs, shifts, weights):
+    """One-step expectation on the nodes ``xs`` as a sparse matrix.
 
-    ``V`` has shape ``(n_t, n_x)``; row ``n_t - 1`` is the terminal slice.
-    ``disc`` holds the discount factor per time slice, ``hx`` the raw payoff
-    per spatial node.  The continuation expectation uses the supplied
-    Gauss--Hermite abscissae/weights with reflecting behaviour at the
-    spatial truncation boundaries and linear interpolation in between.
+    Row ``j`` maps a value slice to ``sum_i weights[i] * v(xs[j] + shifts[i])``,
+    the value read by linear interpolation after one reflection of the
+    point at each spatial edge (and held at the edge value beyond it).  Each
+    point touches two neighbouring nodes, so a row has at most
+    ``2 * len(shifts)`` nonzeros.
     """
-    n_t, n_x = V.shape
-    V[n_t - 1, :] = disc[n_t - 1] * hx
-    sq = math.sqrt(dt)
-    x_hi = x0 + (n_x - 1) * dx
-    xs = x0 + dx * np.arange(n_x)
+    n_x = xs.shape[0]
+    x0, x_hi = xs[0], xs[-1]
+    xp = xs[None, :] + shifts[:, None]
+    xp = np.where(xp < x0, 2.0 * x0 - xp, xp)
+    xp = np.where(xp > x_hi, 2.0 * x_hi - xp, xp)
+    i0 = np.clip(np.searchsorted(xs, xp, side="right") - 1, 0, n_x - 2)
+    fr = np.clip((xp - xs[i0]) / (xs[i0 + 1] - xs[i0]), 0.0, 1.0)
+    w = weights[:, None]
+    rows = np.broadcast_to(np.arange(n_x), xp.shape)
+    # The conversion to CSR sums the entries that several points share.
+    return sparse.coo_array(
+        (np.concatenate([(w * (1.0 - fr)).ravel(), (w * fr).ravel()]),
+         (np.concatenate([rows.ravel(), rows.ravel()]),
+          np.concatenate([i0.ravel(), (i0 + 1).ravel()]))),
+        shape=(n_x, n_x),
+    ).tocsr()
+
+
+def boundary_slice(gap, xs):
+    """Exercise boundary of one time slice from its value-payoff ``gap``.
+
+    The continuation region (``gap > 0``) is the connected component on the
+    low side; the boundary is its first positive-to-zero transition.  A slice
+    with no continuation maps to ``xs[0]``, one with no transition to
+    ``xs[-1]``.
+    """
+    pos = gap > 0.0
+    if not pos.any():
+        return xs[0]
+    # Reflecting truncation can fabricate a thin positive band at the far
+    # spatial edge for payoffs decreasing in x, which a last-positive rule
+    # would grab.
+    trans = pos[:-1] & ~pos[1:]
+    i = int(trans.argmax())
+    if not trans[i]:
+        return xs[-1]
+    # The value-payoff gap vanishes smoothly at the boundary; locating the
+    # zero of its square root is far less biased than the last
+    # strictly-positive cell.
+    w1 = math.sqrt(gap[i])
+    w0 = math.sqrt(gap[i - 1]) if i > 0 else w1
+    if w0 > w1:
+        return xs[i] + w1 / ((w0 - w1) / (xs[1] - xs[0]))
+    return xs[i] + 0.5 * (xs[1] - xs[0])
+
+
+def dp_backward(disc, hx, xs, dt, gh_x, gh_w):
+    """Backward induction on a regular space-time grid, two rows at a time.
+
+    ``disc`` holds the discount factor per time slice (the last is the
+    terminal slice), ``hx`` the raw payoff per spatial node ``xs``.  The
+    continuation value is the Gauss--Hermite expectation over one step of
+    length ``dt`` (abscissae ``gh_x``, weights ``gh_w``), one fixed
+    :func:`expectation_stencil` applied to the later slice.  Each slice's
+    boundary is read off by :func:`boundary_slice` as it is computed, so
+    only the current and the next value row are held.
+
+    Returns ``(v_first, v_terminal, boundary)``: the value slices at the
+    first and the terminal time, and the per-slice boundary (not yet made
+    monotone in time).
+    """
+    A = expectation_stencil(xs, math.sqrt(dt) * gh_x, gh_w)
+    n_t = disc.shape[0]
+    boundary = np.empty(n_t)
+    v_terminal = v = disc[-1] * hx
+    boundary[-1] = xs[0]  # the value equals the payoff at the terminal time
     for k in range(n_t - 2, -1, -1):
-        cont = np.zeros(n_x)
-        for i in range(gh_x.shape[0]):
-            xp = xs + sq * gh_x[i]
-            xp = np.where(xp < x0, 2.0 * x0 - xp, xp)
-            xp = np.where(xp > x_hi, 2.0 * x_hi - xp, xp)
-            cont += gh_w[i] * np.interp(xp, xs, V[k + 1])
-        V[k] = np.maximum(disc[k] * hx, cont)
+        pay = disc[k] * hx
+        v = np.maximum(pay, A @ v)
+        boundary[k] = boundary_slice(v - pay, xs)
+    return v, v_terminal, boundary
 
 
-def mc_first_crossing_numpy(x0, n_steps, dt, normals, b_path):
+def mc_first_crossing(x0, n_steps, dt, normals, b_path):
     """First-crossing times/positions of Euler paths against a boundary.
 
     ``normals`` has shape ``(paths, n_steps)``; ``b_path[k]`` is the
@@ -186,200 +224,3 @@ def mc_first_crossing_numpy(x0, n_steps, dt, normals, b_path):
         alive &= ~crossed
     stop_x[alive] = x[alive]
     return stop_step, stop_x
-
-
-# ----------------------------------------------------------------------
-# numba variants
-# ----------------------------------------------------------------------
-
-try:  # pragma: no cover - import guard
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-USING_NUMBA = _HAVE_NUMBA and not _numba_disabled()
-
-
-def using_numba() -> bool:
-    """Return True when the JIT kernel variants are active."""
-    return USING_NUMBA
-
-
-if _HAVE_NUMBA:
-    _njit = numba.njit(cache=True, fastmath=False)
-
-    @_njit
-    def _residuals_jit(lap, W, gam, dvals):
-        M = lap.shape[0]
-        n = dvals.shape[0]
-        out = np.empty(M)
-        for l in range(M):
-            acc = lap[l]
-            for j in range(n):
-                e = gam[l] * dvals[j]
-                if e < -700.0:
-                    continue
-                acc += math.exp(e) * W[l, j]
-            out[l] = acc
-        return out
-
-    @_njit
-    def _surrogate_objective_jit(lap, W, gam, c2, dvals):
-        R = _residuals_jit(lap, W, gam, dvals)
-        M = lap.shape[0]
-        viol = 0.0
-        bad = False
-        for l in range(M):
-            b = 1.0 + c2[l] * R[l]
-            if b <= 0.0:
-                bad = True
-                viol += b * b
-        if bad:
-            return _SENTINEL * (1.0 + viol)
-        total = 0.0
-        for l in range(M):
-            u = c2[l] * R[l]
-            s = u + 1.0 / (1.0 + u)
-            total += s * s
-        return total
-
-    @_njit
-    def _sweep_jit(lap, W, gam, c2, d, lower, upper, scan_points, node_tol):
-        n_nodes = d.shape[0]
-        obj = _surrogate_objective_jit(lap, W, gam, c2, d[:-1])
-        max_move = 0.0
-        for n in range(1, n_nodes - 1):
-            lo = max(lower[n], d[n + 1])
-            hi = min(upper[n], d[n - 1])
-            if hi - lo <= 0.0:
-                d[n] = hi
-                continue
-            old = d[n]
-            best_k = 0
-            best_v = 1e308
-            step = (hi - lo) / (scan_points - 1)
-            for i in range(scan_points):
-                d[n] = lo + step * i
-                v = _surrogate_objective_jit(lap, W, gam, c2, d[:-1])
-                if v < best_v:
-                    best_v = v
-                    best_k = i
-            a = lo + step * max(best_k - 1, 0)
-            b = lo + step * min(best_k + 1, scan_points - 1)
-            x1 = b - _GOLDEN * (b - a)
-            x2 = a + _GOLDEN * (b - a)
-            d[n] = x1
-            f1 = _surrogate_objective_jit(lap, W, gam, c2, d[:-1])
-            d[n] = x2
-            f2 = _surrogate_objective_jit(lap, W, gam, c2, d[:-1])
-            while b - a > node_tol:
-                if f1 < f2:
-                    b = x2
-                    x2 = x1
-                    f2 = f1
-                    x1 = b - _GOLDEN * (b - a)
-                    d[n] = x1
-                    f1 = _surrogate_objective_jit(lap, W, gam, c2, d[:-1])
-                else:
-                    a = x1
-                    x1 = x2
-                    f1 = f2
-                    x2 = a + _GOLDEN * (b - a)
-                    d[n] = x2
-                    f2 = _surrogate_objective_jit(lap, W, gam, c2, d[:-1])
-            cand = 0.5 * (a + b)
-            d[n] = cand
-            new_obj = _surrogate_objective_jit(lap, W, gam, c2, d[:-1])
-            if new_obj <= obj:
-                obj = new_obj
-                if abs(cand - old) > max_move:
-                    max_move = abs(cand - old)
-            else:
-                d[n] = old
-        return obj, max_move
-
-    @_njit
-    def _dp_backward_jit(disc, hx, V, dt, x0, dx, gh_x, gh_w):
-        n_t, n_x = V.shape
-        for j in range(n_x):
-            V[n_t - 1, j] = disc[n_t - 1] * hx[j]
-        sq = math.sqrt(dt)
-        x_hi = x0 + (n_x - 1) * dx
-        for k in range(n_t - 2, -1, -1):
-            for j in range(n_x):
-                x = x0 + j * dx
-                cont = 0.0
-                for i in range(gh_x.shape[0]):
-                    xp = x + sq * gh_x[i]
-                    if xp < x0:
-                        xp = 2.0 * x0 - xp
-                    if xp > x_hi:
-                        xp = 2.0 * x_hi - xp
-                    pos = (xp - x0) / dx
-                    i0 = int(pos)
-                    if i0 >= n_x - 1:
-                        i0 = n_x - 2
-                    fr = pos - i0
-                    cont += gh_w[i] * (V[k + 1, i0] * (1.0 - fr) + V[k + 1, i0 + 1] * fr)
-                pay = disc[k] * hx[j]
-                V[k, j] = pay if pay > cont else cont
-
-    @_njit
-    def _mc_first_crossing_jit(x0, n_steps, dt, normals, b_path):
-        paths = normals.shape[0]
-        stop_step = np.full(paths, n_steps, dtype=np.int64)
-        stop_x = np.empty(paths)
-        sq = math.sqrt(dt)
-        for p in range(paths):
-            x = x0
-            if x >= b_path[0]:
-                stop_step[p] = 0
-                stop_x[p] = x
-                continue
-            done = False
-            for k in range(1, n_steps + 1):
-                x += sq * normals[p, k - 1]
-                if x >= b_path[k]:
-                    stop_step[p] = k
-                    stop_x[p] = x
-                    done = True
-                    break
-            if not done:
-                stop_x[p] = x
-        return stop_step, stop_x
-
-
-if USING_NUMBA:
-    residuals = _residuals_jit
-    surrogate_objective = _surrogate_objective_jit
-
-    def sweep(lap, W, gam, c2, d, lower, upper, scan_points=25, node_tol=1e-9):
-        return _sweep_jit(lap, W, gam, c2, d, lower, upper, scan_points, node_tol)
-
-    dp_backward = _dp_backward_jit
-    mc_first_crossing = _mc_first_crossing_jit
-else:
-    residuals = residuals_numpy
-    surrogate_objective = surrogate_objective_numpy
-    sweep = sweep_numpy
-    dp_backward = dp_backward_numpy
-    mc_first_crossing = mc_first_crossing_numpy
-
-if _HAVE_NUMBA:
-    residuals_jit = _residuals_jit
-    surrogate_objective_jit = _surrogate_objective_jit
-    dp_backward_jit = _dp_backward_jit
-    mc_first_crossing_jit = _mc_first_crossing_jit
-
-    def sweep_jit(lap, W, gam, c2, d, lower, upper, scan_points=25, node_tol=1e-9):
-        return _sweep_jit(lap, W, gam, c2, d, lower, upper, scan_points, node_tol)
-
-    __all__ += [
-        "residuals_jit",
-        "surrogate_objective_jit",
-        "sweep_jit",
-        "dp_backward_jit",
-        "mc_first_crossing_jit",
-    ]

@@ -13,6 +13,12 @@ the common epoch 0, i.e. stopping at time ``t`` pays ``exp(-r*t) * h(x)``
 directly.  The lattice boundary carries a first-order bias in
 ``sqrt(dt)`` from the discrete exercise dates; :func:`refined_boundary`
 removes the leading term by Richardson extrapolation against a finer run.
+
+On the uniform lattice the one-step expectation is one fixed banded sparse
+matrix, built once per lattice (:func:`_kernels.expectation_stencil`).  The
+backward induction applies it to two rolling value rows and reads the
+boundary off each slice as it goes, so a lattice holds memory in
+``t_steps + x_steps``, not in their product.
 """
 
 from __future__ import annotations
@@ -51,7 +57,13 @@ class OutOfRangeError(ValueError):
 
 @dataclass
 class DPGrid:
-    """Solved space-time lattice with the extracted exercise boundary."""
+    """Solved space-time lattice with the extracted exercise boundary.
+
+    ``boundary`` has one entry per time in ``t_values``.  ``value`` has shape
+    ``(2, len(x_values))``: row 0 is the value at ``t_values[0]`` and row 1
+    (also ``value[-1]``) the terminal value at time 0.  The slices between
+    are not kept.
+    """
 
     t_values: np.ndarray
     x_values: np.ndarray
@@ -98,43 +110,6 @@ def _gauss_hermite() -> Tuple[np.ndarray, np.ndarray]:
     return x, w / w.sum()
 
 
-def _extract_boundary(disc, hx, V, xs):
-    n_t, n_x = V.shape
-    dx = xs[1] - xs[0]
-    b = np.empty(n_t)
-    for k in range(n_t):
-        diff = V[k] - disc[k] * hx
-        pos = diff > 0.0
-        if not pos.any():
-            b[k] = xs[0]
-            continue
-        # The continuation region is the connected component on the low side;
-        # take the first positive-to-zero transition.  (Reflecting truncation
-        # can fabricate a thin positive band at the far spatial edge for
-        # payoffs decreasing in x, which a last-positive rule would grab.)
-        trans = np.where(pos[:-1] & ~pos[1:])[0]
-        if trans.size == 0:
-            b[k] = xs[-1]
-            continue
-        i = int(trans[0])
-        if i >= n_x - 1:
-            b[k] = xs[-1]
-            continue
-        # The value-payoff gap vanishes smoothly at the boundary; locating
-        # the zero of its square root is far less biased than the last
-        # strictly-positive cell.
-        w1 = math.sqrt(diff[i])
-        w0 = math.sqrt(diff[i - 1]) if i > 0 else w1
-        if w0 > w1:
-            b[k] = xs[i] + w1 / ((w0 - w1) / dx)
-        else:
-            b[k] = xs[i] + 0.5 * dx
-    for k in range(1, n_t):
-        if b[k] > b[k - 1]:
-            b[k] = b[k - 1]
-    return b
-
-
 def backward_induction(
     p: Problem,
     t_min: float,
@@ -142,11 +117,15 @@ def backward_induction(
     t_steps: int = 2000,
     x_steps: int = 2000,
 ) -> DPGrid:
-    """Value function of the stopping problem on a regular lattice.
+    """Value function and exercise boundary of the stopping problem on a lattice.
 
     Terminal condition ``V(0, x) = h(x)``; each backward step takes the
     maximum of the discounted payoff and the Gaussian one-step expectation
-    (5-point quadrature, reflecting spatial truncation).
+    (5-point quadrature, reflecting spatial truncation).  On the uniform grid
+    that expectation is one fixed sparse stencil, so the induction holds two
+    value rows at a time and reads the boundary off each slice as it goes;
+    no ``(t_steps + 1, x_steps)`` array is formed.  The returned grid keeps
+    the value at ``t_min`` and at 0 only.
     """
     if p.h is None:
         raise ValueError(f"problem {p.label!r} carries no payoff for the lattice path")
@@ -168,10 +147,9 @@ def backward_induction(
     disc = np.exp(-p.r * ts)
     hx = np.array([p.h(x) for x in xs])
     gh_x, gh_w = _gauss_hermite()
-    V = np.empty((t_steps + 1, x_steps))
-    _kernels.dp_backward(disc, hx, V, dt, xs[0], xs[1] - xs[0], gh_x, gh_w)
-    b = _extract_boundary(disc, hx, V, xs)
-    return DPGrid(t_values=ts, x_values=xs, value=V, boundary=b, r=p.r)
+    v_first, v_terminal, b = _kernels.dp_backward(disc, hx, xs, dt, gh_x, gh_w)
+    return DPGrid(t_values=ts, x_values=xs, value=np.stack([v_first, v_terminal]),
+                  boundary=np.minimum.accumulate(b), r=p.r)
 
 
 def extract_d(grid: DPGrid, nodes: np.ndarray) -> Tuple[BoundaryGrid, np.ndarray]:
@@ -216,10 +194,7 @@ def refined_boundary(
     coarse = backward_induction(p, t_min, x_bounds, t_steps, x_steps)
     fine = backward_induction(p, t_min, x_bounds, 4 * t_steps, 2 * x_steps)
     b_fine = np.interp(coarse.t_values, fine.t_values, fine.boundary)
-    b = 2.0 * b_fine - coarse.boundary
-    for k in range(1, b.shape[0]):
-        if b[k] > b[k - 1]:
-            b[k] = b[k - 1]
+    b = np.minimum.accumulate(2.0 * b_fine - coarse.boundary)
     # dt/dx record the oracle's nominal resolution (the coarse lattice); the
     # finer companion run exists only to cancel the leading bias term.
     return RefinedBoundary(

@@ -1,10 +1,13 @@
-"""The loops the envelope steps and the weight rule replaced, kept as references.
+"""The loops the envelope steps, the weight rule and the lattice replaced, kept as references.
 
 The per-node scalar bisection takes one full residual sum per probe; the
 lockstep prefix-sum steps must reproduce it bit for bit.  The adaptive
 weights take one quadrature per segment and parameter; the Gauss--Legendre
-rule must match them to 1e-12 relative on smooth integrands.  The tests
-check both agreements and ``benchmarks/bench_kernels.py`` times against
+rule must match them to 1e-12 relative on smooth integrands.  The lattice
+interpolates every Gauss--Hermite point with ``np.interp`` on each step and
+stores the whole ``(n_t, n_x)`` value array; the sparse stencil with two
+rolling rows must match its values and boundary to round-off.  The tests
+check these agreements and ``benchmarks/bench_kernels.py`` times against
 these loops.
 """
 
@@ -27,7 +30,7 @@ def _bisect(holds, t_max, tol, keep_high):
 
 
 def residuals(tab, d):
-    return _kernels.residuals_numpy(tab.lap, tab.W, tab.gam, np.ascontiguousarray(d))
+    return _kernels.residuals(tab.lap, tab.W, tab.gam, np.ascontiguousarray(d))
 
 
 def reference_lower_step(tab, upper, tol, t_max):
@@ -83,3 +86,63 @@ def adaptive_weights(p, nodes, cs):
             n = min(int(np.searchsorted(nodes, loc, side="right")) - 1, len(nodes) - 2)
             w[:, n] += [weight * math.exp(c * loc) for c in cs]
     return w
+
+
+def reference_expectation(v, x0, dx, sq, gh_x, gh_w):
+    """One Gauss--Hermite step of the slice ``v``, one ``np.interp`` per point."""
+    n_x = v.shape[0]
+    x_hi = x0 + (n_x - 1) * dx
+    xs = x0 + dx * np.arange(n_x)
+    cont = np.zeros(n_x)
+    for i in range(gh_x.shape[0]):
+        xp = xs + sq * gh_x[i]
+        xp = np.where(xp < x0, 2.0 * x0 - xp, xp)
+        xp = np.where(xp > x_hi, 2.0 * x_hi - xp, xp)
+        cont += gh_w[i] * np.interp(xp, xs, v)
+    return cont
+
+
+def reference_dp_backward(disc, hx, dt, x0, dx, gh_x, gh_w):
+    """Whole value array ``(len(disc), len(hx))`` by per-point ``np.interp``."""
+    n_t, n_x = disc.shape[0], hx.shape[0]
+    V = np.empty((n_t, n_x))
+    V[n_t - 1, :] = disc[n_t - 1] * hx
+    sq = math.sqrt(dt)
+    for k in range(n_t - 2, -1, -1):
+        cont = reference_expectation(V[k + 1], x0, dx, sq, gh_x, gh_w)
+        V[k] = np.maximum(disc[k] * hx, cont)
+    return V
+
+
+def reference_extract_boundary(disc, hx, V, xs):
+    """Boundary of every slice of ``V``, then made non-increasing by a loop."""
+    n_t, n_x = V.shape
+    dx = xs[1] - xs[0]
+    b = np.empty(n_t)
+    for k in range(n_t):
+        diff = V[k] - disc[k] * hx
+        pos = diff > 0.0
+        if not pos.any():
+            b[k] = xs[0]
+            continue
+        trans = np.where(pos[:-1] & ~pos[1:])[0]
+        if trans.size == 0:
+            b[k] = xs[-1]
+            continue
+        i = int(trans[0])
+        w1 = math.sqrt(diff[i])
+        w0 = math.sqrt(diff[i - 1]) if i > 0 else w1
+        if w0 > w1:
+            b[k] = xs[i] + w1 / ((w0 - w1) / dx)
+        else:
+            b[k] = xs[i] + 0.5 * dx
+    return monotone_loop(b)
+
+
+def monotone_loop(b):
+    """Non-increasing copy of ``b``, one comparison per entry."""
+    b = np.array(b, dtype=float)
+    for k in range(1, b.shape[0]):
+        if b[k] > b[k - 1]:
+            b[k] = b[k - 1]
+    return b

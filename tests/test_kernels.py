@@ -1,20 +1,11 @@
-"""Numerical kernels: compiled/pure-NumPy agreement and the env switch."""
-
-import os
-import subprocess
-import sys
+"""Numerical kernels: sweep behaviour, the penalty sentinel, Monte Carlo edges."""
 
 import numpy as np
-import pytest
 
 from stopbound import _kernels
-from stopbound import fredholm, solver
-from stopbound.bounds import iterate
+from stopbound import fredholm
 from stopbound.fredholm import BoundaryGrid, CGrid
 from stopbound.problem import builtin
-
-HAVE_JIT = hasattr(_kernels, "residuals_jit")
-needs_jit = pytest.mark.skipif(not HAVE_JIT, reason="numba not installed")
 
 
 def _fixture_arrays(n_nodes=20, n_c=12, seed=0):
@@ -25,80 +16,6 @@ def _fixture_arrays(n_nodes=20, n_c=12, seed=0):
     tab = fredholm.tabulate(p, g, cg)
     lap, W, gam, c2 = tab.lap, tab.W, tab.gam, tab.c2
     return p, g, cg, lap, W, gam, c2
-
-
-class TestVariantAgreement:
-    @needs_jit
-    def test_residuals(self):
-        _, g, _, lap, W, gam, _ = _fixture_arrays()
-        d = g.values[:-1]
-        a = _kernels.residuals_numpy(lap, W, gam, d)
-        b = _kernels.residuals_jit(lap, W, gam, d)
-        assert np.allclose(a, b, rtol=0.0, atol=1e-12)
-
-    @needs_jit
-    def test_surrogate_objective(self):
-        _, g, _, lap, W, gam, c2 = _fixture_arrays()
-        d = g.values[:-1]
-        a = _kernels.surrogate_objective_numpy(lap, W, gam, c2, d)
-        b = _kernels.surrogate_objective_jit(lap, W, gam, c2, d)
-        assert a == pytest.approx(b, rel=1e-12)
-
-    @needs_jit
-    def test_sweep(self):
-        _, g, _, lap, W, gam, c2 = _fixture_arrays()
-        lower = np.full(len(g), -5.0)
-        lower[0] = 0.0
-        upper = np.zeros(len(g))
-        d1 = g.values.copy()
-        d2 = g.values.copy()
-        r1 = _kernels.sweep_numpy(lap, W, gam, c2, d1, lower, upper)
-        r2 = _kernels.sweep_jit(lap, W, gam, c2, d2, lower, upper)
-        assert np.allclose(d1, d2, rtol=0.0, atol=1e-10)
-        assert r1[0] == pytest.approx(r2[0], rel=1e-10)
-
-    @needs_jit
-    def test_dp_backward(self):
-        p = builtin("linear")
-        nt, nx = 40, 64
-        xs = np.linspace(-2.0, 2.0, nx)
-        ts = np.linspace(-1.0, 0.0, nt + 1)
-        disc = np.exp(-p.r * ts)
-        hx = np.array([p.h(x) for x in xs])
-        from stopbound.oracle import _gauss_hermite
-
-        gx, gw = _gauss_hermite()
-        V1 = np.empty((nt + 1, nx))
-        V2 = np.empty((nt + 1, nx))
-        dt = ts[1] - ts[0]
-        _kernels.dp_backward_numpy(disc, hx, V1, dt, xs[0], xs[1] - xs[0], gx, gw)
-        _kernels.dp_backward_jit(disc, hx, V2, dt, xs[0], xs[1] - xs[0], gx, gw)
-        assert np.allclose(V1, V2, rtol=0.0, atol=1e-12)
-
-    @needs_jit
-    def test_mc_first_crossing(self):
-        rng = np.random.default_rng(3)
-        normals = rng.standard_normal((200, 50))
-        b_path = np.linspace(0.6, 0.0, 51)
-        s1, x1 = _kernels.mc_first_crossing_numpy(0.0, 50, 0.02, normals, b_path)
-        s2, x2 = _kernels.mc_first_crossing_jit(0.0, 50, 0.02, normals, b_path)
-        assert np.array_equal(s1, s2)
-        assert np.allclose(x1, x2, rtol=0.0, atol=1e-14)
-
-
-class TestEnvSwitch:
-    def test_flag_disables_compiled_path(self):
-        code = (
-            "from stopbound import _kernels;"
-            "print(_kernels.using_numba(),"
-            " _kernels.residuals is _kernels.residuals_numpy)"
-        )
-        env = dict(os.environ, STOPBOUND_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["False", "True"]
 
 
 class TestSweepBehavior:

@@ -1,13 +1,21 @@
 """Lattice reference boundaries and Monte Carlo valuation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stopbound import fredholm, oracle
+from stopbound import _kernels, fredholm, oracle
 from stopbound.constants import solve_B
-from stopbound.problem import builtin
+from stopbound.problem import american_put, builtin
+
+from reference_loops import (
+    monotone_loop,
+    reference_dp_backward,
+    reference_expectation,
+    reference_extract_boundary,
+)
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +59,89 @@ class TestBackwardInduction:
 
     def test_boundary_monotone_in_time(self, small_grid):
         assert np.all(np.diff(small_grid.boundary) <= 1e-12)
+
+
+def _lattice_inputs(p, ts, xs):
+    gh_x, gh_w = oracle._gauss_hermite()
+    hx = np.array([p.h(x) for x in xs])
+    return np.exp(-p.r * ts), hx, ts[1] - ts[0], gh_x, gh_w
+
+
+class TestStencilLattice:
+    """The sparse stencil with two rolling rows against the ``np.interp`` loop."""
+
+    @pytest.mark.parametrize("label", ["linear", "put"])
+    @pytest.mark.parametrize("t_steps, x_steps", [(40, 64), (200, 300)])
+    def test_matches_reference_loop(self, label, t_steps, x_steps):
+        p = builtin("linear") if label == "linear" else american_put(1.0, 0.5)
+        grid = oracle.backward_induction(p, -2.0, t_steps=t_steps, x_steps=x_steps)
+        xs = grid.x_values
+        disc, hx, dt, gh_x, gh_w = _lattice_inputs(p, grid.t_values, xs)
+        V = reference_dp_backward(disc, hx, dt, xs[0], xs[1] - xs[0], gh_x, gh_w)
+        assert grid.value.shape == (2, x_steps)
+        assert np.max(np.abs(grid.value[0] - V[0])) <= 1e-10
+        assert np.array_equal(grid.value[-1], V[-1])
+        b_ref = reference_extract_boundary(disc, hx, V, xs)
+        assert np.max(np.abs(grid.boundary - b_ref)) <= 1e-10
+
+    @pytest.mark.parametrize("width", [1.0, 0.5])
+    def test_points_reflected_at_both_edges(self, width):
+        # The outer Gauss--Hermite points (2.86 sqrt(dt) = 0.64) leave the
+        # grid on both sides; at width 0.5 some leave it again after the
+        # reflection and are held at the edge value, as np.interp holds them.
+        p = builtin("linear")
+        ts = np.linspace(-1.0, 0.0, 21)
+        xs = np.linspace(-width / 2.0, width / 2.0, 64)
+        disc, hx, dt, gh_x, gh_w = _lattice_inputs(p, ts, xs)
+        shifts = math.sqrt(dt) * gh_x
+        xp = xs[None, :] + shifts[:, None]
+        assert (xp < xs[0]).any() and (xp > xs[-1]).any()
+        xp = np.where(xp < xs[0], 2.0 * xs[0] - xp, xp)
+        xp = np.where(xp > xs[-1], 2.0 * xs[-1] - xp, xp)
+        assert (xp < xs[0]).any() == (width == 0.5)
+        # one step of an arbitrary slice, where no payoff masks an edge row
+        v = np.random.default_rng(2).normal(size=xs.size)
+        cont = reference_expectation(v, xs[0], xs[1] - xs[0], math.sqrt(dt), gh_x, gh_w)
+        A = _kernels.expectation_stencil(xs, shifts, gh_w)
+        assert np.max(np.abs(A @ v - cont)) <= 1e-14
+        v_first, _, b = _kernels.dp_backward(disc, hx, xs, dt, gh_x, gh_w)
+        V = reference_dp_backward(disc, hx, dt, xs[0], xs[1] - xs[0], gh_x, gh_w)
+        assert np.max(np.abs(v_first - V[0])) <= 1e-10
+        b_ref = reference_extract_boundary(disc, hx, V, xs)
+        assert np.max(np.abs(np.minimum.accumulate(b) - b_ref)) <= 1e-10
+
+    def test_stencil_rows_hold_at_most_ten_entries(self):
+        xs = np.linspace(-1.0, 1.0, 50)
+        gh_x, gh_w = oracle._gauss_hermite()
+        A = _kernels.expectation_stencil(xs, 0.1 * gh_x, gh_w)
+        assert np.diff(A.indptr).max() <= 2 * gh_x.size
+        assert np.allclose(A.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+
+    def test_peak_memory_below_one_lattice(self, linear):
+        t_steps = x_steps = 2000
+        tracemalloc.start()
+        try:
+            oracle.backward_induction(linear, -2.0, t_steps=t_steps, x_steps=x_steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (t_steps + 1) * x_steps
+
+    def test_monotone_passes_match_the_loop(self, linear):
+        rng = np.random.default_rng(5)
+        b = np.round(rng.normal(size=500), 1)  # with ties
+        assert np.array_equal(np.minimum.accumulate(b), monotone_loop(b))
+        # the lattice boundary and the extrapolated one, bit for bit
+        ts = np.linspace(-2.0, 0.0, 101)
+        xs = np.linspace(*oracle.default_x_bounds(linear, -2.0), 100)
+        disc, hx, dt, gh_x, gh_w = _lattice_inputs(linear, ts, xs)
+        raw = _kernels.dp_backward(disc, hx, xs, dt, gh_x, gh_w)[2]
+        coarse = oracle.backward_induction(linear, -2.0, t_steps=100, x_steps=100)
+        assert np.array_equal(coarse.boundary, monotone_loop(raw))
+        fine = oracle.backward_induction(linear, -2.0, t_steps=400, x_steps=200)
+        ref = oracle.refined_boundary(linear, -2.0, 100, 100)
+        b_fine = np.interp(coarse.t_values, fine.t_values, fine.boundary)
+        assert np.array_equal(ref.boundary, monotone_loop(2.0 * b_fine - coarse.boundary))
 
 
 class TestRefinedBoundary:
