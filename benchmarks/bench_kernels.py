@@ -5,9 +5,10 @@ Run from the repository root:  PYTHONPATH=src python3 benchmarks/bench_kernels.p
 The references live in ``tests/reference_loops.py``: the per-node scalar
 bisection with one full residual sum per probe, one adaptive quadrature per
 segment and parameter, and the lattice that interpolates every
-Gauss--Hermite point with ``np.interp`` and stores the whole value array.
-The envelope steps must match their reference exactly, the weights to 1e-12
-relative, and the lattice values to 1e-9.
+Gauss--Hermite point with ``np.interp`` and stores the whole value array,
+and the Monte Carlo loop that walks every live path one step at a time.
+The envelope steps and the Monte Carlo crossings must match their reference
+exactly, the weights to 1e-12 relative, and the lattice values to 1e-9.
 """
 
 import math
@@ -26,6 +27,7 @@ from reference_loops import (  # noqa: E402
     adaptive_weights,
     reference_dp_backward,
     reference_lower_step,
+    reference_mc_first_crossing,
     reference_upper_step,
 )
 
@@ -101,10 +103,28 @@ def lattice(t_steps=2000, x_steps=2000, t_min=-10.0):
     print(f"{'dp_backward':<22}{t_ref:>15.6f}{t_new:>13.6f}{t_ref / t_new:>10.1f}")
 
 
+def monte_carlo(paths=5000, n_steps=2000, t_min=-1.0):
+    """Time the crossing kernel against the step loop on one draw of normals."""
+    p = builtin("linear")
+    b_path = oracle.backward_induction(p, t_min, None, n_steps, 500).boundary
+    dt = -t_min / n_steps
+    normals = np.random.default_rng(0).standard_normal((paths, n_steps))
+    t_ref, ref = _time(reference_mc_first_crossing, 0.0, n_steps, dt, normals, b_path, repeat=1)
+    # The kernel overwrites its normals, so it gets a copy.
+    t_new, new = _time(k.mc_first_crossing, 0.0, n_steps, dt, normals.copy(), b_path, repeat=1)
+    if not all(np.array_equal(a, b) for a, b in zip(ref, new)):
+        raise AssertionError("mc_first_crossing: block pass and step loop differ")
+    print(f"linear Monte Carlo from ({t_min:g}, 0), {paths} paths x {n_steps} steps")
+    print(f"{'kernel':<22}{'reference (s)':>15}{'current (s)':>13}{'speedup':>10}")
+    print(f"{'mc_first_crossing':<22}{t_ref:>15.6f}{t_new:>13.6f}{t_ref / t_new:>10.1f}")
+
+
 def main() -> None:
     rewrites()
     print()
     lattice()
+    print()
+    monte_carlo()
 
 
 if __name__ == "__main__":

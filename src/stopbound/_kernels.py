@@ -3,7 +3,9 @@
 The solver and the envelope read ``residuals``, ``surrogate_objective`` and
 ``sweep``; the oracle reads ``dp_backward`` and ``mc_first_crossing``.
 Callers look every kernel up as an attribute of this module, so a profiler
-can wrap it in one place.
+can wrap it in one place.  ``dp_backward`` loops over time slices;
+``mc_first_crossing`` has no step loop: it is one cumulative sum and one
+comparison over a block of whole paths, which the caller sizes.
 
 Shapes used throughout:
 
@@ -201,26 +203,25 @@ def dp_backward(disc, hx, xs, dt, gh_x, gh_w):
 
 
 def mc_first_crossing(x0, n_steps, dt, normals, b_path):
-    """First-crossing times/positions of Euler paths against a boundary.
+    """First-crossing steps and positions of Euler paths against a boundary.
 
-    ``normals`` has shape ``(paths, n_steps)``; ``b_path[k]`` is the
-    boundary level at step ``k`` (``b_path[0]`` applies at the start).
-    A path stops at the first step where ``x >= b``; paths that never
-    cross stop at the final step.  Returns ``(stop_step, stop_x)``.
+    ``normals`` has shape ``(paths, n_steps)`` and is overwritten with the
+    paths' positions; ``b_path[k]`` is the boundary level at step ``k``
+    (``b_path[0]`` applies at the start).  A path stops at the first step
+    where ``x >= b``; paths that never cross stop at the final step.  The
+    positions are one sequential cumulative sum along each path, so they
+    round exactly as a step-by-step walk from ``x0`` would.  Returns
+    ``(stop_step, stop_x)``.
     """
     paths = normals.shape[0]
-    stop_step = np.full(paths, n_steps, dtype=np.int64)
-    stop_x = np.empty(paths)
-    x = np.full(paths, float(x0))
-    alive = x < b_path[0]
-    stop_x[~alive] = x[~alive]
-    stop_step[~alive] = 0
-    sq = math.sqrt(dt)
-    for k in range(1, n_steps + 1):
-        x[alive] += sq * normals[alive, k - 1]
-        crossed = alive & (x >= b_path[k])
-        stop_step[crossed] = k
-        stop_x[crossed] = x[crossed]
-        alive &= ~crossed
-    stop_x[alive] = x[alive]
-    return stop_step, stop_x
+    if x0 >= b_path[0]:
+        return np.zeros(paths, dtype=np.int64), np.full(paths, float(x0))
+    normals *= math.sqrt(dt)
+    normals[:, 0] += x0
+    x = np.cumsum(normals, axis=1, out=normals)
+    hit = x >= b_path[1:]
+    first = hit.argmax(axis=1)
+    rows = np.arange(paths)
+    crossed = hit[rows, first]
+    stop_step = np.where(crossed, first + 1, n_steps)
+    return stop_step, x[rows, stop_step - 1]

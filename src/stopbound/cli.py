@@ -58,7 +58,6 @@ def _add_shared(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--nodes", type=int, default=60, help="spatial node count N")
     sp.add_argument("--cvals", type=int, default=40, help="kernel parameter count M")
     sp.add_argument("--t-min", type=float, default=-10.0, help="lattice horizon (negative)")
-    sp.add_argument("--seed", type=int, default=0, help="RNG seed for Monte Carlo paths")
     sp.add_argument("--tolerance", type=float, default=None,
                     help="override the solver coordinate tolerance")
     sp.add_argument("--config", help="key=value file of defaults (command line wins)")
@@ -101,36 +100,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(args: argparse.Namespace, argv: Sequence[str]) -> None:
-    """Fill args from a key=value file; explicit command-line flags win."""
-    if not args.config:
-        return
+def _config_flags(path: str, args: argparse.Namespace) -> List[str]:
+    """The key=value lines of a config file as ``--key=value`` flags.
+
+    Keys the subcommand does not know, and empty values (an unset option
+    in a manifest), are skipped.
+    """
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise _UsageError(f"cannot read config {args.config!r}: {exc}") from exc
-    explicit = {a.split("=", 1)[0].lstrip("-").replace("-", "_")
-                for a in argv if a.startswith("--")}
+        raise _UsageError(f"cannot read config {path!r}: {exc}") from exc
+    flags = []
     for i, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise _UsageError(f"{args.config}:{i}: expected key=value")
+            raise _UsageError(f"{path}:{i}: expected key=value")
         key, val = (s.strip() for s in line.split("=", 1))
         key = key.replace("-", "_")
-        if key in ("subcommand", "version") or key in explicit or not hasattr(args, key):
+        if key in ("subcommand", "version", "config") or not hasattr(args, key) or not val:
             continue
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            setattr(args, key, val.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
-            setattr(args, key, int(val))
-        elif isinstance(current, float):
-            setattr(args, key, float(val))
-        else:
-            setattr(args, key, val if val != "" else None)
+        flags.append(f"--{key.replace('_', '-')}={val}")
+    return flags
 
 
 def _write_manifest(args: argparse.Namespace) -> None:
@@ -401,10 +394,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # Config values go before the command line's own flags, so those
+            # win, and each is converted and checked by its own option.
+            args = parser.parse_args(argv[:1] + _config_flags(args.config, args) + argv[1:])
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
-        _apply_config(args, argv)
         if args.nodes < 2 or args.cvals < 1:
             raise _UsageError("--nodes must be >= 2 and --cvals >= 1")
         return _COMMANDS[args.subcommand](args)

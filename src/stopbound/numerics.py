@@ -55,10 +55,13 @@ class BracketError(ValueError):
 class QuadratureSpec:
     """Tolerances and subdivision budget for adaptive quadrature.
 
-    ``semi_infinite_cutoff_policy`` maps a declared exponential decay rate
-    and absolute tolerance to a truncation point; the default policy doubles
-    the cutoff until the integrand's own tail bound ``|f(T)| / rate`` drops
-    below the absolute tolerance.
+    ``absolute_tolerance`` and ``relative_tolerance`` are the error targets
+    of each adaptive integral, ``max(absolute_tolerance, relative_tolerance
+    * |I|)``, and ``max_subdivisions`` caps its panels;
+    :func:`integrate_finite` raises when the target is missed.
+    :func:`integrate_semi_infinite` also truncates at the first doubled
+    cutoff ``T`` where the tail bound ``|f(T)| / decay_rate`` is at most
+    ``absolute_tolerance``.
     """
 
     relative_tolerance: float = 1e-10

@@ -18,7 +18,8 @@ On the uniform lattice the one-step expectation is one fixed banded sparse
 matrix, built once per lattice (:func:`_kernels.expectation_stencil`).  The
 backward induction applies it to two rolling value rows and reads the
 boundary off each slice as it goes, so a lattice holds memory in
-``t_steps + x_steps``, not in their product.
+``t_steps + x_steps``, not in their product.  Monte Carlo draws its normals
+in blocks of whole paths, so its memory is one block, not ``paths`` rows.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ __all__ = [
     "d_intervals",
     "mc_value",
 ]
+
+
+# Normals drawn per Monte Carlo block (8 MB): whole paths, at least one.
+_MC_BLOCK_VALUES = 2**20
 
 
 class ResolutionError(ValueError):
@@ -240,35 +245,42 @@ def mc_value(
     paths: int,
     rng_seed: int,
     n_steps: int = 2000,
-    continuity_correction: bool = True,
 ) -> Tuple[float, float]:
     """Monte Carlo value of the stopping rule defined by ``boundary``.
 
     Euler paths from ``(t0, x0)`` stop at the first crossing of the
     boundary (or at time 0) and collect the discounted payoff.  Checking
-    crossings only at discrete dates misses excursions between them; the
-    standard continuity correction shifts the barrier toward the paths by
-    ``0.5826 * sqrt(dt)`` to cancel the leading bias, and is on by default.
-    Bit-for-bit reproducible for a fixed seed.  Returns
+    crossings only at discrete dates misses excursions between them, so the
+    barrier is shifted toward the paths by ``0.5826 * sqrt(dt)``, the
+    Broadie--Glasserman--Kou continuity correction, which cancels the
+    leading bias.  The normals are drawn in blocks of whole paths, about
+    :data:`_MC_BLOCK_VALUES` at a time, so memory does not grow with
+    ``paths``; consecutive blocks from one generator are the rows of a
+    single ``(paths, n_steps)`` draw, so the estimate does not depend on the
+    block size.  Bit-for-bit reproducible for a fixed seed.  Returns
     ``(estimate, standard_error)``.
     """
     if p.h is None:
         raise ValueError(f"problem {p.label!r} carries no payoff to simulate")
     if paths < 1000:
         raise ValueError("need at least 1000 paths")
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
     if not t0 < 0.0:
         raise ValueError("t0 must be negative")
     dt = -t0 / n_steps
     ts = t0 + dt * np.arange(n_steps + 1)
-    v_rev = boundary.values[::-1]
-    y_rev = boundary.nodes[::-1]
-    b_path = np.interp(ts, v_rev, y_rev, left=boundary.nodes[-1], right=0.0)
-    if continuity_correction:
-        b_path = np.maximum(b_path - 0.5826 * math.sqrt(dt), 0.0)
-    b_path = np.ascontiguousarray(b_path)
+    b_path = np.interp(ts, boundary.values[::-1], boundary.nodes[::-1],
+                       left=boundary.nodes[-1], right=0.0)
+    b_path = np.maximum(b_path - 0.5826 * math.sqrt(dt), 0.0)
     rng = np.random.default_rng(rng_seed)
-    normals = rng.standard_normal((paths, n_steps))
-    stop_step, stop_x = _kernels.mc_first_crossing(float(x0), n_steps, dt, normals, b_path)
+    rows = max(1, _MC_BLOCK_VALUES // n_steps)
+    stops = [
+        _kernels.mc_first_crossing(float(x0), n_steps, dt,
+                                   rng.standard_normal((min(rows, paths - i), n_steps)), b_path)
+        for i in range(0, paths, rows)
+    ]
+    stop_step, stop_x = map(np.concatenate, zip(*stops))
     t_stop = t0 + stop_step * dt
     payoff = np.exp(-p.r * t_stop) * np.array([p.h(x) for x in stop_x])
     est = float(payoff.mean())

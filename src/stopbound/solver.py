@@ -67,6 +67,10 @@ _SEED_MODES = ("asymptotic", "envelope_midpoint", "custom")
 # spurious points a polish reaches from too short a descent measure 1.9e-2
 # to 9e-2.
 RESIDUAL_TOLERANCE = 5e-3
+# Descent stalls on a sweep that lowers the objective by less than this.
+VALUE_TOLERANCE = 1e-10
+# Points of the coarse scan that starts each node's line search in a sweep.
+SCAN_POINTS = 25
 
 
 class NotConvergedError(RuntimeError):
@@ -85,23 +89,21 @@ class SolverConfig:
     on, a solve normally ends after the first sweep or two, once a polished
     point meets :data:`RESIDUAL_TOLERANCE`.  Descent stalls when a sweep
     moves no node by ``coordinate_tolerance`` or more, or lowers the
-    objective by less than ``value_tolerance``.  ``polish=False`` runs
+    objective by less than :data:`VALUE_TOLERANCE`.  ``polish=False`` runs
     descent alone, until it stalls or the budget runs out.
     """
 
     max_iterations: int = 500
-    value_tolerance: float = 1e-10
     coordinate_tolerance: float = 1e-7
     seed_mode: str = "asymptotic"
-    scan_points: int = 25
     polish: bool = True
     custom_seed: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.value_tolerance <= 0.0 or self.coordinate_tolerance <= 0.0:
-            raise ValueError("tolerances must be strictly positive")
+        if self.coordinate_tolerance <= 0.0:
+            raise ValueError("coordinate_tolerance must be strictly positive")
         if self.seed_mode not in _SEED_MODES:
             raise ValueError(f"seed_mode must be one of {_SEED_MODES}")
         if self.seed_mode == "custom" and self.custom_seed is None:
@@ -289,10 +291,10 @@ def solve(
     prev_obj = math.inf
     for sweeps in range(1, cfg.max_iterations + 1):
         obj, max_move = _kernels.sweep(
-            lapn, Wn, gam, c2, d, lower, upper, cfg.scan_points, 1e-9
+            lapn, Wn, gam, c2, d, lower, upper, SCAN_POINTS, 1e-9
         )
         trace.append(float(obj))
-        stalled = max_move < cfg.coordinate_tolerance or prev_obj - obj < cfg.value_tolerance
+        stalled = max_move < cfg.coordinate_tolerance or prev_obj - obj < VALUE_TOLERANCE
         prev_obj = obj
         if cfg.polish and (
             stalled or sweeps == cfg.max_iterations or _polish_due(sweeps)

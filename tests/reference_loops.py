@@ -6,9 +6,11 @@ weights take one quadrature per segment and parameter; the Gauss--Legendre
 rule must match them to 1e-12 relative on smooth integrands.  The lattice
 interpolates every Gauss--Hermite point with ``np.interp`` on each step and
 stores the whole ``(n_t, n_x)`` value array; the sparse stencil with two
-rolling rows must match its values and boundary to round-off.  The tests
-check these agreements and ``benchmarks/bench_kernels.py`` times against
-these loops.
+rolling rows must match its values and boundary to round-off.  Monte Carlo
+walked all paths one step at a time over one ``(paths, n_steps)`` draw of
+normals; the cumulative sum over blocks of paths must reproduce its
+estimates bit for bit.  The tests check these agreements and
+``benchmarks/bench_kernels.py`` times against these loops.
 """
 
 import math
@@ -146,3 +148,36 @@ def monotone_loop(b):
         if b[k] > b[k - 1]:
             b[k] = b[k - 1]
     return b
+
+
+def reference_mc_first_crossing(x0, n_steps, dt, normals, b_path):
+    """First crossings by one masked update of every live path per step."""
+    paths = normals.shape[0]
+    stop_step = np.full(paths, n_steps, dtype=np.int64)
+    stop_x = np.empty(paths)
+    x = np.full(paths, float(x0))
+    alive = x < b_path[0]
+    stop_x[~alive] = x[~alive]
+    stop_step[~alive] = 0
+    sq = math.sqrt(dt)
+    for k in range(1, n_steps + 1):
+        x[alive] += sq * normals[alive, k - 1]
+        crossed = alive & (x >= b_path[k])
+        stop_step[crossed] = k
+        stop_x[crossed] = x[crossed]
+        alive &= ~crossed
+    stop_x[alive] = x[alive]
+    return stop_step, stop_x
+
+
+def reference_mc_value(p, t0, x0, boundary, paths, rng_seed, n_steps=2000):
+    """``oracle.mc_value`` from one ``(paths, n_steps)`` draw and the step loop."""
+    dt = -t0 / n_steps
+    ts = t0 + dt * np.arange(n_steps + 1)
+    b_path = np.interp(ts, boundary.values[::-1], boundary.nodes[::-1],
+                       left=boundary.nodes[-1], right=0.0)
+    b_path = np.maximum(b_path - 0.5826 * math.sqrt(dt), 0.0)
+    normals = np.random.default_rng(rng_seed).standard_normal((paths, n_steps))
+    stop_step, stop_x = reference_mc_first_crossing(float(x0), n_steps, dt, normals, b_path)
+    payoff = np.exp(-p.r * (t0 + stop_step * dt)) * np.array([p.h(x) for x in stop_x])
+    return float(payoff.mean()), float(payoff.std(ddof=1) / math.sqrt(paths))

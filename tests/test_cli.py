@@ -220,3 +220,27 @@ class TestConfigAndManifest:
         ma = (outs[0] / "manifest.txt").read_text().replace(str(outs[0]), "OUT")
         mb = (outs[1] / "manifest.txt").read_text().replace(str(outs[1]), "OUT")
         assert ma == mb
+
+    def test_tolerance_manifest_round_trip(self, tmp_path, capsys):
+        # A manifest names every option, --tolerance included, and may name
+        # options since removed (seed): passed back, it reproduces the run.
+        first, second = tmp_path / "a", tmp_path / "b"
+        argv = ["solve", "--problem", "linear", "--nodes", "12", "--cvals", "8",
+                "--tolerance", "1e-8"]
+        rc1 = cli.main(argv + ["--out-dir", str(first)])
+        manifest = (first / "manifest.txt").read_text()
+        assert "tolerance=1e-08\n" in manifest
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(manifest + "seed=0\n")
+        rc2 = cli.main(["solve", "--config", str(cfg), "--out-dir", str(second)])
+        assert rc1 == rc2 == cli.EXIT_OK
+        for name in ("boundary.csv", "trace.csv", "residuals.csv", "plot.dat"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        assert (second / "manifest.txt").read_text() == manifest.replace(str(first), str(second))
+
+    def test_bad_config_value_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem = linear\ntolerance = tight\n")
+        rc = cli.main(["residuals", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert rc == cli.EXIT_USAGE
+        assert "--tolerance" in capsys.readouterr().err

@@ -15,6 +15,8 @@ from reference_loops import (
     reference_dp_backward,
     reference_expectation,
     reference_extract_boundary,
+    reference_mc_first_crossing,
+    reference_mc_value,
 )
 
 
@@ -228,3 +230,53 @@ class TestMonteCarlo:
             oracle.mc_value(linear, -1.0, 0.0, b, 10, 0)
         with pytest.raises(ValueError):
             oracle.mc_value(linear, 1.0, 0.0, b, 2000, 0)
+        with pytest.raises(ValueError, match="n_steps"):
+            oracle.mc_value(linear, -1.0, 0.0, b, 2000, 0, n_steps=0)
+
+    def test_kernel_matches_step_loop_on_ties(self):
+        # Integer steps against integer levels land exactly on the boundary.
+        normals = np.round(np.random.default_rng(4).normal(size=(300, 40)))
+        b_path = np.full(41, 2.0)
+        b_path[::7] = 3.0
+        ref = reference_mc_first_crossing(0.0, 40, 1.0, normals, b_path)
+        s, x = _kernels.mc_first_crossing(0.0, 40, 1.0, normals.copy(), b_path)
+        assert np.array_equal(s, ref[0]) and np.array_equal(x, ref[1])
+        assert np.any(x == b_path[s]) and np.any(s == 40)
+
+    @pytest.mark.parametrize("x0", [-0.5, 0.0, 0.3, 0.9])
+    def test_matches_one_shot_reference(self, linear, x0):
+        # 0.9 starts past the boundary.  At 400 steps a block holds 2621
+        # paths, so 4097 paths are one whole block and a partial one.
+        b = self._boundary(linear)
+        args = (linear, -1.0, x0, b, 4097, 11)
+        assert oracle.mc_value(*args, n_steps=400) == reference_mc_value(*args, n_steps=400)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_blocks_of_few_rows_match(self, monkeypatch, rows):
+        p = american_put(1.0, 0.5)
+        rule, _ = oracle.extract_d(oracle.backward_induction(p, -1.0, None, 200, 200),
+                                   np.linspace(0.0, p.b_inf, 40))
+        sizes = []
+        kernel = _kernels.mc_first_crossing
+
+        def counted(x0, n_steps, dt, normals, b_path):
+            sizes.append(normals.shape[0])
+            return kernel(x0, n_steps, dt, normals, b_path)
+
+        monkeypatch.setattr(_kernels, "mc_first_crossing", counted)
+        monkeypatch.setattr(oracle, "_MC_BLOCK_VALUES", 50 * rows + 49)
+        for x0 in (-0.5, 0.0):
+            args = (p, -1.0, x0, rule, 1000, 3)
+            assert oracle.mc_value(*args, n_steps=50) == reference_mc_value(*args, n_steps=50)
+        assert sizes == 2 * ([rows] * (1000 // rows) + [1000 % rows] * (1000 % rows > 0))
+
+    def test_peak_memory_below_one_draw(self, linear):
+        # One (20000, 2000) draw of normals is 320 MB.
+        b = self._boundary(linear)
+        tracemalloc.start()
+        try:
+            oracle.mc_value(linear, -1.0, 0.0, b, 20000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20

@@ -33,7 +33,7 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             solver.SolverConfig(max_iterations=0)
         with pytest.raises(ValueError):
-            solver.SolverConfig(value_tolerance=0.0)
+            solver.SolverConfig(coordinate_tolerance=0.0)
         with pytest.raises(ValueError):
             solver.SolverConfig(seed_mode="mystery")
         with pytest.raises(ValueError):
