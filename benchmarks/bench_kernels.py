@@ -6,9 +6,11 @@ The references live in ``tests/reference_loops.py``: the per-node scalar
 bisection with one full residual sum per probe, one adaptive quadrature per
 segment and parameter, and the lattice that interpolates every
 Gauss--Hermite point with ``np.interp`` and stores the whole value array,
-and the Monte Carlo loop that walks every live path one step at a time.
-The envelope steps and the Monte Carlo crossings must match their reference
-exactly, the weights to 1e-12 relative, and the lattice values to 1e-9.
+the two-row lattice step that stored the stencil's zeros and formed a
+value-payoff gap per slice, and the Monte Carlo loop that walks every live
+path one step at a time.  The envelope steps, the two-row lattice and the
+Monte Carlo crossings must match their reference exactly, the weights to
+1e-12 relative, and the ``np.interp`` lattice values to 1e-9.
 """
 
 import math
@@ -28,6 +30,7 @@ from reference_loops import (  # noqa: E402
     reference_dp_backward,
     reference_lower_step,
     reference_mc_first_crossing,
+    reference_two_row_dp_backward,
     reference_upper_step,
 )
 
@@ -81,16 +84,17 @@ def rewrites(n_nodes=60, n_c=40):
         print(f"{name:<22}{t_ref:>15.6f}{t_new:>13.6f}{t_ref / t_new:>10.1f}")
 
 
-def lattice(t_steps=2000, x_steps=2000, t_min=-10.0):
-    """Time the stencil lattice against the ``np.interp`` loop on ``linear``."""
-    p = builtin("linear")
+def _lattice_inputs(p, t_min, t_steps, x_steps):
     ts = np.linspace(t_min, 0.0, t_steps + 1)
     xs = np.linspace(*oracle.default_x_bounds(p, t_min), x_steps)
-    dt = ts[1] - ts[0]
-    disc = np.exp(-p.r * ts)
     hx = np.array([p.h(x) for x in xs])
     gh_x, gh_w = oracle._gauss_hermite()
+    return np.exp(-p.r * ts), hx, xs, ts[1] - ts[0], gh_x, gh_w
 
+
+def lattice(t_steps=2000, x_steps=2000, t_min=-10.0):
+    """Time the stencil lattice against the ``np.interp`` loop on ``linear``."""
+    disc, hx, xs, dt, gh_x, gh_w = _lattice_inputs(builtin("linear"), t_min, t_steps, x_steps)
     t_ref, V = _time(reference_dp_backward, disc, hx, dt, xs[0], xs[1] - xs[0], gh_x, gh_w,
                      repeat=1)
     t_new, (v_first, v_terminal, _) = _time(k.dp_backward, disc, hx, xs, dt, gh_x, gh_w,
@@ -101,6 +105,19 @@ def lattice(t_steps=2000, x_steps=2000, t_min=-10.0):
     print(f"linear lattice from t = {t_min:g}, {t_steps + 1} x {x_steps}, max |dV| {err:.2g}")
     print(f"{'kernel':<22}{'reference (s)':>15}{'current (s)':>13}{'speedup':>10}")
     print(f"{'dp_backward':<22}{t_ref:>15.6f}{t_new:>13.6f}{t_ref / t_new:>10.1f}")
+
+
+def lattice_step(t_steps=8000, x_steps=6000, t_min=-4.0):
+    """Time the three-pass step against the two-row loop on the put's fine lattice."""
+    args = _lattice_inputs(american_put(1.0, 0.5), t_min, t_steps, x_steps)
+    t_ref, ref = _time(reference_two_row_dp_backward, *args, repeat=2)
+    t_new, new = _time(k.dp_backward, *args, repeat=2)
+    if not all(np.array_equal(a, b) for a, b in zip(ref, new)):
+        raise AssertionError("dp_backward: three-pass step and two-row loop differ")
+    print(f"american_put (1, 0.5) lattice from t = {t_min:g}, {t_steps + 1} x {x_steps},"
+          " values and boundary equal")
+    print(f"{'kernel':<22}{'two-row loop (s)':>18}{'current (s)':>13}{'speedup':>10}")
+    print(f"{'dp_backward':<22}{t_ref:>18.6f}{t_new:>13.6f}{t_ref / t_new:>10.2f}")
 
 
 def monte_carlo(paths=5000, n_steps=2000, t_min=-1.0):
@@ -123,6 +140,8 @@ def main() -> None:
     rewrites()
     print()
     lattice()
+    print()
+    lattice_step()
     print()
     monte_carlo()
 

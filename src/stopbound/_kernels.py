@@ -3,9 +3,10 @@
 The solver and the envelope read ``residuals``, ``surrogate_objective`` and
 ``sweep``; the oracle reads ``dp_backward`` and ``mc_first_crossing``.
 Callers look every kernel up as an attribute of this module, so a profiler
-can wrap it in one place.  ``dp_backward`` loops over time slices;
-``mc_first_crossing`` has no step loop: it is one cumulative sum and one
-comparison over a block of whole paths, which the caller sizes.
+can wrap it in one place.  ``dp_backward`` loops over time slices, each
+step one sparse matvec (a stencil with no stored zeros) and three row
+passes; ``mc_first_crossing`` has no step loop: it is one cumulative sum
+and one comparison over a block of whole paths, which the caller sizes.
 
 Shapes used throughout:
 
@@ -127,7 +128,10 @@ def expectation_stencil(xs, shifts, weights):
     the value read by linear interpolation after one reflection of the
     point at each spatial edge (and held at the edge value beyond it).  Each
     point touches two neighbouring nodes, so a row has at most
-    ``2 * len(shifts)`` nonzeros.
+    ``2 * len(shifts)`` entries.  The matrix stores no zeros: a point that
+    lands exactly on a node (the centre abscissa, shift 0, does on every row)
+    puts weight 0 on the neighbouring node, and that entry is dropped, which
+    changes no product bit.
     """
     n_x = xs.shape[0]
     x0, x_hi = xs[0], xs[-1]
@@ -139,37 +143,41 @@ def expectation_stencil(xs, shifts, weights):
     w = weights[:, None]
     rows = np.broadcast_to(np.arange(n_x), xp.shape)
     # The conversion to CSR sums the entries that several points share.
-    return sparse.coo_array(
+    A = sparse.coo_array(
         (np.concatenate([(w * (1.0 - fr)).ravel(), (w * fr).ravel()]),
          (np.concatenate([rows.ravel(), rows.ravel()]),
           np.concatenate([i0.ravel(), (i0 + 1).ravel()]))),
         shape=(n_x, n_x),
     ).tocsr()
+    A.eliminate_zeros()
+    return A
 
 
-def boundary_slice(gap, xs):
-    """Exercise boundary of one time slice from its value-payoff ``gap``.
+def boundary_slice(v, pay, xs):
+    """Exercise boundary of one time slice with values ``v`` and payoff ``pay``.
 
-    The continuation region (``gap > 0``) is the connected component on the
-    low side; the boundary is its first positive-to-zero transition.  A slice
+    The continuation region (``v > pay``) is the connected component on the
+    low side; the boundary is its first continue-to-stop transition.  A slice
     with no continuation maps to ``xs[0]``, one with no transition to
-    ``xs[-1]``.
+    ``xs[-1]``.  Boolean ``argmax``/``argmin`` stop at the first hit, so the
+    scan reads the slice once from the low side and forms no gap array.
     """
-    pos = gap > 0.0
-    if not pos.any():
+    cont = v > pay
+    a = int(cont.argmax())
+    if not cont[a]:
         return xs[0]
     # Reflecting truncation can fabricate a thin positive band at the far
     # spatial edge for payoffs decreasing in x, which a last-positive rule
-    # would grab.
-    trans = pos[:-1] & ~pos[1:]
-    i = int(trans.argmax())
-    if not trans[i]:
+    # would grab; the first stop after the low-side run ends the scan.
+    f = a + int(cont[a:].argmin())
+    if cont[f]:
         return xs[-1]
+    i = f - 1
     # The value-payoff gap vanishes smoothly at the boundary; locating the
     # zero of its square root is far less biased than the last
     # strictly-positive cell.
-    w1 = math.sqrt(gap[i])
-    w0 = math.sqrt(gap[i - 1]) if i > 0 else w1
+    w1 = math.sqrt(v[i] - pay[i])
+    w0 = math.sqrt(v[i - 1] - pay[i - 1]) if i > 0 else w1
     if w0 > w1:
         return xs[i] + w1 / ((w0 - w1) / (xs[1] - xs[0]))
     return xs[i] + 0.5 * (xs[1] - xs[0])
@@ -184,7 +192,9 @@ def dp_backward(disc, hx, xs, dt, gh_x, gh_w):
     length ``dt`` (abscissae ``gh_x``, weights ``gh_w``), one fixed
     :func:`expectation_stencil` applied to the later slice.  Each slice's
     boundary is read off by :func:`boundary_slice` as it is computed, so
-    only the current and the next value row are held.
+    only the current and the next value row are held.  A step is the
+    matvec and three row passes: the payoff into one preallocated row, the
+    maximum in place, and the comparison inside :func:`boundary_slice`.
 
     Returns ``(v_first, v_terminal, boundary)``: the value slices at the
     first and the terminal time, and the per-slice boundary (not yet made
@@ -195,10 +205,12 @@ def dp_backward(disc, hx, xs, dt, gh_x, gh_w):
     boundary = np.empty(n_t)
     v_terminal = v = disc[-1] * hx
     boundary[-1] = xs[0]  # the value equals the payoff at the terminal time
+    pay = np.empty_like(hx)
     for k in range(n_t - 2, -1, -1):
-        pay = disc[k] * hx
-        v = np.maximum(pay, A @ v)
-        boundary[k] = boundary_slice(v - pay, xs)
+        np.multiply(disc[k], hx, out=pay)
+        v = A @ v
+        np.maximum(pay, v, out=v)
+        boundary[k] = boundary_slice(v, pay, xs)
     return v, v_terminal, boundary
 
 

@@ -72,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     sp = sub.add_parser("constants", help="universal boundary coefficients")
-    sp.add_argument("--beta", type=float, required=True)
+    # Not required by the parser, so that --config can supply it.
+    sp.add_argument("--beta", type=float)
     sp.add_argument("--m-ratio", type=float, default=1.0)
     _add_shared(sp)
 
@@ -179,6 +180,8 @@ def _reference_curve(p: Problem, y: np.ndarray) -> np.ndarray:
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
+    if args.beta is None:
+        raise _UsageError("--beta is required")
     const = constants_mod.solve_B(args.beta, args.m_ratio)
     resid = const.identity_residual()
     print(f"beta        {const.beta:.6g}")

@@ -6,7 +6,9 @@ weights take one quadrature per segment and parameter; the Gauss--Legendre
 rule must match them to 1e-12 relative on smooth integrands.  The lattice
 interpolates every Gauss--Hermite point with ``np.interp`` on each step and
 stores the whole ``(n_t, n_x)`` value array; the sparse stencil with two
-rolling rows must match its values and boundary to round-off.  Monte Carlo
+rolling rows must match its values and boundary to round-off.  That
+two-row loop stored the stencil's zeros and formed the value-payoff gap of
+every slice; the three-pass step must reproduce it bit for bit.  Monte Carlo
 walked all paths one step at a time over one ``(paths, n_steps)`` draw of
 normals; the cumulative sum over blocks of paths must reproduce its
 estimates bit for bit.  The tests check these agreements and
@@ -16,6 +18,7 @@ estimates bit for bit.  The tests check these agreements and
 import math
 
 import numpy as np
+from scipy import sparse
 
 from stopbound import _kernels, numerics
 
@@ -139,6 +142,55 @@ def reference_extract_boundary(disc, hx, V, xs):
         else:
             b[k] = xs[i] + 0.5 * dx
     return monotone_loop(b)
+
+
+def reference_stencil(xs, shifts, weights):
+    """The expectation stencil with its stored zeros, one or more a row."""
+    n_x = xs.shape[0]
+    x0, x_hi = xs[0], xs[-1]
+    xp = xs[None, :] + shifts[:, None]
+    xp = np.where(xp < x0, 2.0 * x0 - xp, xp)
+    xp = np.where(xp > x_hi, 2.0 * x_hi - xp, xp)
+    i0 = np.clip(np.searchsorted(xs, xp, side="right") - 1, 0, n_x - 2)
+    fr = np.clip((xp - xs[i0]) / (xs[i0 + 1] - xs[i0]), 0.0, 1.0)
+    w = weights[:, None]
+    rows = np.broadcast_to(np.arange(n_x), xp.shape)
+    return sparse.coo_array(
+        (np.concatenate([(w * (1.0 - fr)).ravel(), (w * fr).ravel()]),
+         (np.concatenate([rows.ravel(), rows.ravel()]),
+          np.concatenate([i0.ravel(), (i0 + 1).ravel()]))),
+        shape=(n_x, n_x),
+    ).tocsr()
+
+
+def reference_boundary_slice(gap, xs):
+    """Boundary of one slice from its whole value-payoff ``gap`` array."""
+    pos = gap > 0.0
+    if not pos.any():
+        return xs[0]
+    trans = pos[:-1] & ~pos[1:]
+    i = int(trans.argmax())
+    if not trans[i]:
+        return xs[-1]
+    w1 = math.sqrt(gap[i])
+    w0 = math.sqrt(gap[i - 1]) if i > 0 else w1
+    if w0 > w1:
+        return xs[i] + w1 / ((w0 - w1) / (xs[1] - xs[0]))
+    return xs[i] + 0.5 * (xs[1] - xs[0])
+
+
+def reference_two_row_dp_backward(disc, hx, xs, dt, gh_x, gh_w):
+    """``_kernels.dp_backward`` as two rows, a stencil with zeros and a gap per slice."""
+    A = reference_stencil(xs, math.sqrt(dt) * gh_x, gh_w)
+    n_t = disc.shape[0]
+    boundary = np.empty(n_t)
+    v_terminal = v = disc[-1] * hx
+    boundary[-1] = xs[0]
+    for k in range(n_t - 2, -1, -1):
+        pay = disc[k] * hx
+        v = np.maximum(pay, A @ v)
+        boundary[k] = reference_boundary_slice(v - pay, xs)
+    return v, v_terminal, boundary
 
 
 def monotone_loop(b):

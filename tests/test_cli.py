@@ -59,6 +59,20 @@ class TestConstants:
         assert float(rows[0][header.index("B")]) == pytest.approx(2.4503, abs=1e-3)
         assert (tmp_path / "manifest.txt").exists()
 
+    def test_manifest_replays_the_run(self, tmp_path, capsys):
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert cli.main(["constants", "--beta", "1.0", "--out-dir", str(first)]) == cli.EXIT_OK
+        rc = cli.main(["constants", "--config", str(first / "manifest.txt"),
+                       "--out-dir", str(second)])
+        assert rc == cli.EXIT_OK
+        assert (first / "constants.csv").read_bytes() == (second / "constants.csv").read_bytes()
+
+    def test_missing_beta(self, tmp_path, capsys):
+        rc = cli.main(["constants", "--out-dir", str(tmp_path)])
+        assert rc == cli.EXIT_USAGE
+        assert "error: --beta is required" in capsys.readouterr().err
+        assert not (tmp_path / "constants.csv").exists()
+
 
 class TestResiduals:
     def test_reference_curve(self, tmp_path, capsys):

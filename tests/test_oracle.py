@@ -12,11 +12,14 @@ from stopbound.problem import american_put, builtin
 
 from reference_loops import (
     monotone_loop,
+    reference_boundary_slice,
     reference_dp_backward,
     reference_expectation,
     reference_extract_boundary,
     reference_mc_first_crossing,
     reference_mc_value,
+    reference_stencil,
+    reference_two_row_dp_backward,
 )
 
 
@@ -118,6 +121,58 @@ class TestStencilLattice:
         A = _kernels.expectation_stencil(xs, 0.1 * gh_x, gh_w)
         assert np.diff(A.indptr).max() <= 2 * gh_x.size
         assert np.allclose(A.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("label, width, t_steps",
+                             [("linear", None, 120), ("put", None, 120), ("linear", 0.5, 20)])
+    def test_three_pass_step_matches_two_row_loop(self, label, width, t_steps):
+        # Outer Gauss--Hermite points leave the grid at both edges on every
+        # case; at width 0.5 some leave it again after the reflection.
+        p = builtin("linear") if label == "linear" else american_put(1.0, 0.5)
+        ts = np.linspace(-1.0, 0.0, t_steps + 1)
+        lo, hi = oracle.default_x_bounds(p, -1.0) if width is None else (-width / 2, width / 2)
+        xs = np.linspace(lo, hi, 150)
+        disc, hx, dt, gh_x, gh_w = _lattice_inputs(p, ts, xs)
+        xp = xs[None, :] + math.sqrt(dt) * gh_x[:, None]
+        assert (xp < xs[0]).any() and (xp > xs[-1]).any()
+        xp = np.where(xp < xs[0], 2.0 * xs[0] - xp, xp)
+        xp = np.where(xp > xs[-1], 2.0 * xs[-1] - xp, xp)
+        assert (xp < xs[0]).any() == (width is not None)
+        new = _kernels.dp_backward(disc, hx, xs, dt, gh_x, gh_w)
+        ref = reference_two_row_dp_backward(disc, hx, xs, dt, gh_x, gh_w)
+        for a, b in zip(new, ref):
+            assert np.array_equal(a, b)
+        assert len(np.unique(new[2][:-1])) > 1
+
+    @pytest.mark.parametrize("cont", [
+        [0, 0, 0, 0, 0, 0, 0, 0],  # no continuation
+        [1, 1, 1, 1, 1, 1, 1, 1],  # continuation up to the last node
+        [0, 0, 0, 1, 1, 1, 1, 1],  # ... from inside the grid
+        [1, 0, 0, 0, 0, 0, 0, 0],  # transition at node 0
+        [1, 1, 1, 0, 0, 0, 1, 1],  # positive band at the far edge
+        [0, 1, 1, 0, 0, 1, 0, 0],  # a run from inside, then a band
+        [0, 0, 1, 0, 0, 0, 0, 0],  # a one-node run after a stop region
+        [0, 0, 0, 0, 0, 0, 0, 1],  # continuation at the last node only
+    ])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_boundary_slice_crafted(self, cont, seed):
+        rng = np.random.default_rng(seed)
+        xs = np.linspace(-1.0, 2.5, 8)
+        pay = rng.uniform(0.0, 1.0, 8)
+        # the value is the payoff plus a positive gap where it continues
+        v = pay + np.where(np.array(cont, dtype=bool), rng.uniform(0.01, 0.5, 8), 0.0)
+        b = _kernels.boundary_slice(v, pay, xs)
+        assert b == reference_boundary_slice(v - pay, xs)
+        assert b == reference_extract_boundary(np.ones(1), pay, v[None, :], xs)[0]
+
+    def test_stencil_stores_no_zeros(self):
+        gh_x, gh_w = oracle._gauss_hermite()
+        for xs, scale in ((np.linspace(-1.0, 1.0, 50), 0.1), (np.linspace(-0.25, 0.25, 64), 0.22)):
+            A = _kernels.expectation_stencil(xs, scale * gh_x, gh_w)
+            A0 = reference_stencil(xs, scale * gh_x, gh_w)
+            assert (A.data != 0).all()
+            # the centre abscissa stored a zero on most rows
+            assert (A0.data == 0).sum() >= xs.size // 2
+            assert np.array_equal(A.toarray(), A0.toarray())
 
     def test_peak_memory_below_one_lattice(self, linear):
         t_steps = x_steps = 2000
@@ -223,6 +278,22 @@ class TestMonteCarlo:
         est, se = oracle.mc_value(linear, -1.0, 0.0, b, 20000, 1234)
         assert abs(est - dp_val) <= 3.0 * se
         assert est <= dp_val + 2.0 * se
+
+    def test_immediate_stop_draws_nothing(self, linear, monkeypatch):
+        b = self._boundary(linear)
+        args = (linear, -1.0, 0.9, b, 20000, 5)
+        expected = reference_mc_value(*args, n_steps=400)
+        calls = []
+        kernel = _kernels.mc_first_crossing
+        monkeypatch.setattr(_kernels, "mc_first_crossing",
+                            lambda *a: calls.append(1) or kernel(*a))
+
+        def no_generator(*a, **kw):
+            raise AssertionError("a generator was created")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        assert oracle.mc_value(*args, n_steps=400) == expected
+        assert calls == []
 
     def test_preconditions(self, linear):
         b = self._boundary(linear)
