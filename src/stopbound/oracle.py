@@ -257,8 +257,7 @@ def mc_value(
     :data:`_MC_BLOCK_VALUES` at a time, so memory does not grow with
     ``paths``; consecutive blocks from one generator are the rows of a
     single ``(paths, n_steps)`` draw, so the estimate does not depend on the
-    block size.  A start already in the stopping region draws nothing.
-    Bit-for-bit reproducible for a fixed seed.  Returns
+    block size.  Bit-for-bit reproducible for a fixed seed.  Returns
     ``(estimate, standard_error)``.
     """
     if p.h is None:
@@ -274,19 +273,14 @@ def mc_value(
     b_path = np.interp(ts, boundary.values[::-1], boundary.nodes[::-1],
                        left=boundary.nodes[-1], right=0.0)
     b_path = np.maximum(b_path - 0.5826 * math.sqrt(dt), 0.0)
-    if x0 >= b_path[0]:
-        # Every path stops at once; no normal would be read.
-        stop_step, stop_x = np.zeros(paths, dtype=np.int64), np.full(paths, float(x0))
-    else:
-        rng = np.random.default_rng(rng_seed)
-        rows = max(1, _MC_BLOCK_VALUES // n_steps)
-        stops = [
-            _kernels.mc_first_crossing(float(x0), n_steps, dt,
-                                       rng.standard_normal((min(rows, paths - i), n_steps)),
-                                       b_path)
-            for i in range(0, paths, rows)
-        ]
-        stop_step, stop_x = map(np.concatenate, zip(*stops))
+    rng = np.random.default_rng(rng_seed)
+    rows = max(1, _MC_BLOCK_VALUES // n_steps)
+    stops = [
+        _kernels.mc_first_crossing(float(x0), n_steps, dt,
+                                   rng.standard_normal((min(rows, paths - i), n_steps)), b_path)
+        for i in range(0, paths, rows)
+    ]
+    stop_step, stop_x = map(np.concatenate, zip(*stops))
     t_stop = t0 + stop_step * dt
     payoff = np.exp(-p.r * t_stop) * np.array([p.h(x) for x in stop_x])
     est = float(payoff.mean())

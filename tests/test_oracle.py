@@ -279,22 +279,6 @@ class TestMonteCarlo:
         assert abs(est - dp_val) <= 3.0 * se
         assert est <= dp_val + 2.0 * se
 
-    def test_immediate_stop_draws_nothing(self, linear, monkeypatch):
-        b = self._boundary(linear)
-        args = (linear, -1.0, 0.9, b, 20000, 5)
-        expected = reference_mc_value(*args, n_steps=400)
-        calls = []
-        kernel = _kernels.mc_first_crossing
-        monkeypatch.setattr(_kernels, "mc_first_crossing",
-                            lambda *a: calls.append(1) or kernel(*a))
-
-        def no_generator(*a, **kw):
-            raise AssertionError("a generator was created")
-
-        monkeypatch.setattr(np.random, "default_rng", no_generator)
-        assert oracle.mc_value(*args, n_steps=400) == expected
-        assert calls == []
-
     def test_preconditions(self, linear):
         b = self._boundary(linear)
         with pytest.raises(ValueError):
