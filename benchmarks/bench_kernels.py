@@ -10,18 +10,24 @@ the two-row lattice step that stored the stencil's zeros and formed a
 value-payoff gap per slice, and the Monte Carlo loop that walks every live
 path one step at a time.  The envelope steps, the two-row lattice and the
 Monte Carlo crossings must match their reference exactly, the weights to
-1e-12 relative, and the ``np.interp`` lattice values to 1e-9.
+1e-12 relative, and the ``np.interp`` lattice values to 1e-9.  The pure-Python
+``find_root`` must return SciPy's ``brentq`` bits on the library's own root
+finds.  The last row times ``import stopbound`` in fresh interpreters.
 """
 
 import math
+import os
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+from scipy.optimize import brentq
 
 from stopbound import _kernels as k
-from stopbound import bounds, fredholm, oracle
+from stopbound import bounds, constants, fredholm, numerics, oracle, problem
 from stopbound.problem import american_put, builtin
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -136,8 +142,66 @@ def monte_carlo(paths=5000, n_steps=2000, t_min=-1.0):
     print(f"{'mc_first_crossing':<22}{t_ref:>15.6f}{t_new:>13.6f}{t_ref / t_new:>10.1f}")
 
 
+def _root_calls():
+    """``(f, bracket, tol)`` of the root finds in ``solve_B`` and the puts' smooth fit."""
+    calls = []
+
+    def record(f, bracket, tol=1e-10):
+        calls.append((f, bracket, tol))
+        return numerics.find_root(f, bracket, tol)
+
+    saved = problem.find_root, constants.find_root
+    problem.find_root = constants.find_root = record
+    try:
+        for beta in (0.0, 0.5, 1.0, 2.0):
+            constants.solve_B(beta)
+        for rho in (0.5, 1.0, 2.0):
+            for theta in (0.25, 0.5, 0.75):
+                american_put(rho, theta)
+    finally:
+        problem.find_root, constants.find_root = saved
+    return calls
+
+
+def root_finding():
+    """Time ``find_root`` against SciPy's ``brentq`` on the same functions."""
+    calls = _root_calls()
+
+    def port():
+        return [numerics.find_root(f, b, tol) for f, b, tol in calls]
+
+    def scipy_brentq():
+        return [brentq(f, b.lo, b.hi, xtol=tol, rtol=4.0 * 2.3e-16) for f, b, tol in calls]
+
+    t_ref, ref = _time(scipy_brentq, repeat=3)
+    t_new, new = _time(port, repeat=3)
+    if new != ref:
+        raise AssertionError("find_root: the port and scipy.optimize.brentq differ")
+    print(f"solve_B (4 powers) and put smooth fit (9 puts): {len(calls)} root finds, roots equal")
+    print(f"{'kernel':<22}{'brentq (s)':>15}{'current (s)':>13}{'speedup':>10}")
+    print(f"{'find_root':<22}{t_ref:>15.6f}{t_new:>13.6f}{t_ref / t_new:>10.2f}")
+
+
+def cold_start(runs=3):
+    """Median wall time of ``import stopbound`` in fresh interpreters (printed only)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    print(f"fresh-process wall, median of {runs}")
+    for statement in ("import numpy", "import stopbound"):
+        walls = []
+        for _ in range(runs):
+            t0 = time.perf_counter()
+            subprocess.run([sys.executable, "-c", statement], env=env, check=True)
+            walls.append(time.perf_counter() - t0)
+        print(f"{statement:<22}{statistics.median(walls):>13.3f} s")
+
+
 def main() -> None:
     rewrites()
+    print()
+    root_finding()
+    print()
+    cold_start()
     print()
     lattice()
     print()

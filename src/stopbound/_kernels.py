@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import sparse
 
 __all__ = [
     "residuals",
@@ -131,8 +130,11 @@ def expectation_stencil(xs, shifts, weights):
     ``2 * len(shifts)`` entries.  The matrix stores no zeros: a point that
     lands exactly on a node (the centre abscissa, shift 0, does on every row)
     puts weight 0 on the neighbouring node, and that entry is dropped, which
-    changes no product bit.
+    changes no product bit.  ``scipy.sparse`` is imported on the first call,
+    so only a lattice run loads it.
     """
+    from scipy import sparse
+
     n_x = xs.shape[0]
     x0, x_hi = xs[0], xs[-1]
     xp = xs[None, :] + shifts[:, None]

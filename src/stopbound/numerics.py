@@ -3,14 +3,17 @@
 Quadrature on finite and semi-infinite intervals, the standard normal
 CDF/PDF, and bracketed scalar root finding.  All functions are pure and
 deterministic for fixed inputs, so they are safe for concurrent use.
+
+Importing this module loads no SciPy.  Root finding is Brent's method in
+pure Python; adaptive quadrature is SciPy's ``quad``, whose module
+``scipy.integrate`` is imported on the first call of
+:func:`integrate_finite`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy import integrate, optimize
 
 __all__ = [
     "QuadratureSpec",
@@ -100,7 +103,8 @@ def integrate_finite(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADR
     """Integrate ``f`` over ``[a, b]`` with adaptive Gauss--Kronrod panels.
 
     Panels are open (the endpoints are never evaluated), so integrable
-    endpoint singularities are tolerated.  Raises
+    endpoint singularities are tolerated.  The panels are SciPy's ``quad``;
+    ``scipy.integrate`` is imported on the first call, not with the module.  Raises
     :class:`ToleranceNotMetError` if the error bound cannot be pushed below
     ``max(abs_tol, rel_tol * |I|)`` within the subdivision budget.
     """
@@ -108,6 +112,8 @@ def integrate_finite(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADR
         raise ValueError(f"integration bounds out of order: [{a}, {b}]")
     if a == b:
         return 0.0
+    from scipy import integrate
+
     value, err, info, *tail = integrate.quad(
         f,
         a,
@@ -168,12 +174,95 @@ def norm_pdf(x: float) -> float:
 def find_root(f, bracket: RootBracket, tol: float = 1e-10) -> float:
     """Locate a root of ``f`` inside a validated bracket.
 
-    Uses Brent's method; the result is guaranteed to lie within the initial
-    bracket and satisfies ``|f(x*)| <= tol`` or a bracket width ``<= tol``.
+    Uses Brent's method (Brent 1973, *Algorithms for Minimization without
+    Derivatives*, ch. 4) in pure Python, so no SciPy module is loaded.  It
+    takes the steps of SciPy's ``brentq`` with ``xtol=tol`` and
+    ``rtol=4 * 2.3e-16`` and returns the same bits.  The result lies within
+    the initial bracket and is within ``tol + rtol * |x*|`` of a sign change
+    of ``f``.  A NaN function value raises ``ValueError``, and a run that
+    has not converged after 100 iterations raises ``RuntimeError``.
     """
     if bracket.f_lo == 0.0:
         return bracket.lo
     if bracket.f_hi == 0.0:
         return bracket.hi
-    root = optimize.brentq(f, bracket.lo, bracket.hi, xtol=tol, rtol=4.0 * 2.3e-16)
-    return float(root)
+    if tol <= 0.0:
+        raise ValueError(f"root tolerance must be positive, got {tol}")
+    return _brent(f, float(bracket.lo), float(bracket.hi), tol, 4.0 * 2.3e-16)
+
+
+_BRENT_MAXITER = 100
+
+
+def _value(f, x: float) -> float:
+    fx = float(f(x))
+    if fx != fx:
+        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+    return fx
+
+
+def _div(a: float, b: float) -> float:
+    """``a / b`` in IEEE arithmetic: a zero divisor gives an infinity or NaN."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        if a != a or a == 0.0:
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _brent(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """Brent's method, step for step as ``scipy/optimize/Zeros/brentq.c``.
+
+    ``xcur`` is the best estimate, ``xpre`` the previous one and ``xblk``
+    the contrapoint, with ``f(xblk)`` of the other sign; ``scur`` and
+    ``spre`` are the last two steps.  The run stops when half the bracket
+    is below ``delta = (xtol + rtol * |xcur|) / 2``.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = _value(f, xpre)
+    fcur = _value(f, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise BracketError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate; the denominator underflows to 0 for tiny |f|
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = _div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            short, limit = abs(spre), 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (short if short < limit else limit):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _value(f, xcur)
+    raise RuntimeError(
+        f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}"
+    )

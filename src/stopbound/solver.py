@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import _kernels
 from .bounds import BoundaryEnvelope, _default_t_max
@@ -171,6 +170,18 @@ def seed(
     return envelope.lower.with_values(_monotone_down(np.minimum(vals, 0.0)))
 
 
+def least_squares(*args, **kwargs):
+    """SciPy's ``scipy.optimize.least_squares``, imported on the first polish.
+
+    A module-level name rather than an import inside :func:`_polish`: it
+    keeps ``scipy.optimize`` out of ``import stopbound`` and leaves the polish
+    one attribute of this module that a profiler can wrap.
+    """
+    from scipy.optimize import least_squares as scipy_least_squares
+
+    return scipy_least_squares(*args, **kwargs)
+
+
 def _polish(
     d: np.ndarray,
     lapn: np.ndarray,
@@ -196,14 +207,10 @@ def _polish(
     # excluding nodes close to b_inf where the boundary leaves any smooth
     # scale (it dives toward -inf there).
     dy = nodes[1] - nodes[0]
-    rows = [
-        k
-        for k in range(1, n - 2)
-        if nodes[k] <= b_inf - 3.0 * dy
-    ]
-    D2 = np.zeros((len(rows), n - 1))
-    for i, k in enumerate(rows):
-        D2[i, k - 1 : k + 2] = (1.0, -2.0, 1.0)
+    rows = np.arange(1, n - 2)
+    rows = rows[nodes[rows] <= b_inf - 3.0 * dy]
+    D2 = np.zeros((rows.shape[0], n - 1))
+    D2[np.arange(rows.shape[0])[:, None], rows[:, None] + np.arange(-1, 2)] = (1.0, -2.0, 1.0)
     sq_s = math.sqrt(1e-3)
     a_free = prior[free]
 

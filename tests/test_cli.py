@@ -2,6 +2,9 @@
 
 import csv
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -258,3 +261,51 @@ class TestConfigAndManifest:
         rc = cli.main(["residuals", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert rc == cli.EXIT_USAGE
         assert "--tolerance" in capsys.readouterr().err
+
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _scipy_modules_after(code):
+    """SciPy modules in ``sys.modules`` after ``code`` runs in a fresh process."""
+    script = textwrap.dedent(code) + textwrap.dedent("""
+        import sys
+        print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+    """)
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    return set(done.stdout.split())
+
+
+class TestModuleLoads:
+    """Each command loads only the SciPy subpackages it calls."""
+
+    def test_import_loads_no_scipy(self):
+        assert _scipy_modules_after("import stopbound") == set()
+
+    def test_bounds_loads_no_scipy(self, tmp_path):
+        loaded = _scipy_modules_after(f"""
+            import contextlib, io
+            from stopbound import cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main(["bounds", "--problem", "american_put", "--nodes", "12",
+                               "--cvals", "8", "--out-dir", {str(tmp_path)!r}])
+            assert rc == 0, rc
+        """)
+        assert loaded == set()
+
+    def test_oracle_loads_only_sparse(self, tmp_path):
+        loaded = _scipy_modules_after(f"""
+            import contextlib, io
+            from stopbound import cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main(["oracle", "--problem", "linear", "--t-min", "-1.0",
+                               "--t-steps", "64", "--x-steps", "64", "--nodes", "10",
+                               "--out-dir", {str(tmp_path)!r}])
+            assert rc == 0, rc
+        """)
+        assert "scipy.sparse" in loaded
+        assert "scipy.optimize" not in loaded
+        assert "scipy.integrate" not in loaded

@@ -1,9 +1,12 @@
 """Quadrature, root finding and normal-distribution primitives."""
 
 import math
+import random
 
 import pytest
+from scipy.optimize import brentq
 
+from stopbound import constants, problem
 from stopbound.numerics import (
     BracketError,
     DEFAULT_QUADRATURE,
@@ -100,6 +103,118 @@ class TestRootFinding:
             RootBracket(0.0, 1.0, 1.0, 2.0)
         with pytest.raises(BracketError):
             RootBracket(1.0, 0.0, -1.0, 1.0)
+
+
+def _brentq(f, bracket, tol):
+    """SciPy's ``brentq`` with the tolerances :func:`find_root` documents."""
+    return brentq(f, bracket.lo, bracket.hi, xtol=tol, rtol=4.0 * 2.3e-16)
+
+
+class TestBrentPort:
+    """``find_root`` returns the bits of SciPy's ``brentq`` on every call."""
+
+    @pytest.fixture
+    def compared(self, monkeypatch):
+        # Route the library's own root finds through both solvers.
+        pairs = []
+
+        def both(f, bracket, tol=1e-10):
+            got = find_root(f, bracket, tol)
+            pairs.append((got, _brentq(f, bracket, tol)))
+            return got
+
+        monkeypatch.setattr(problem, "find_root", both)
+        monkeypatch.setattr(constants, "find_root", both)
+        return pairs
+
+    def test_smooth_fit_roots(self, compared):
+        problem.builtin("linear")
+        for rho in (0.3, 0.7, 1.0, 1.5, 2.0):
+            for theta in (0.2, 0.35, 0.5, 0.7, 0.9):
+                problem.american_put(rho, theta)
+        assert len(compared) == 26
+        for got, want in compared:
+            assert got == want
+
+    def test_solve_B(self, compared):
+        for beta in (0.0, 0.5, 1.0, 2.0):
+            constants.solve_B(beta)
+        assert len(compared) == 4
+        for got, want in compared:
+            assert got == want
+
+    def test_stadje_alpha(self, compared):
+        constants.stadje_alpha()
+        (got, want), = compared
+        assert got == want
+
+    def test_random_bracketed_functions(self):
+        # Cubic plus sine; every other one scaled by up to 1e-320 or 1e300,
+        # where the extrapolation's denominator underflows to 0 or overflows.
+        rng = random.Random(20260)
+        checked = 0
+        while checked < 1000:
+            a3, a2, a1, a0, amp = (rng.uniform(-3.0, 3.0) for _ in range(5))
+            freq = rng.uniform(0.1, 8.0)
+            scale = 1.0 if checked % 2 else 10.0 ** rng.uniform(-320.0, 300.0)
+
+            def f(x):
+                return scale * (((a3 * x + a2) * x + a1) * x + a0 + amp * math.sin(freq * x))
+
+            lo = rng.uniform(-5.0, 1.0)
+            hi = lo + rng.uniform(0.01, 6.0)
+            f_lo, f_hi = f(lo), f(hi)
+            if f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0.0) == (f_hi < 0.0):
+                continue
+            tol = 10.0 ** rng.uniform(-14.0, -4.0)
+            bracket = RootBracket(lo, hi, f_lo, f_hi)
+            assert find_root(f, bracket, tol) == _brentq(f, bracket, tol)
+            checked += 1
+
+    def test_random_staircases(self):
+        # |f| ties between the estimate and the contrapoint on every step.
+        rng = random.Random(7)
+        for _ in range(300):
+            r, s = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 20.0)
+
+            def f(x):
+                return math.floor(s * (x - r)) + 0.5
+
+            lo, hi = rng.uniform(-3.0, -1.0), rng.uniform(1.0, 3.0)
+            tol = 10.0 ** rng.uniform(-14.0, -4.0)
+            bracket = RootBracket(lo, hi, f(lo), f(hi))
+            assert find_root(f, bracket, tol) == _brentq(f, bracket, tol)
+
+    def test_nan_value_raises(self):
+        # Finite at the bracket ends, NaN at the first interior point.
+        def f(x):
+            return x - 0.5 if x in (0.0, 1.0) else math.nan
+
+        bracket = RootBracket(0.0, 1.0, -0.5, 0.5)
+        with pytest.raises(ValueError, match="NaN"):
+            _brentq(f, bracket, 1e-10)
+        with pytest.raises(ValueError, match="NaN"):
+            find_root(f, bracket)
+
+    def test_step_exhausts_iterations(self):
+        # Bisection toward 0 halves the bracket each step, while
+        # delta = (1e-300 + rtol * |x|) / 2 shrinks with it: 100 steps do
+        # not converge, in SciPy and here.
+        calls = []
+
+        def step(x):
+            calls.append(x)
+            return -1.0 if x < 0.0 else 1.0
+
+        bracket = RootBracket(-1.0, 3.0, -1.0, 1.0)
+        with pytest.raises(RuntimeError, match="after 100 iterations"):
+            _brentq(step, bracket, 1e-300)
+        scipy_calls = calls[:]
+        calls.clear()
+        with pytest.raises(RuntimeError, match="after 100 iterations"):
+            find_root(step, bracket, 1e-300)
+        assert len(calls) == 102  # both ends, then one point per iteration
+        assert calls == scipy_calls
 
 
 class TestQuadratureSpec:
