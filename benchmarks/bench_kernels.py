@@ -8,11 +8,11 @@ segment and parameter, and the lattice that interpolates every
 Gauss--Hermite point with ``np.interp`` and stores the whole value array,
 the two-row lattice step that stored the stencil's zeros and formed a
 value-payoff gap per slice, and the Monte Carlo loop that walks every live
-path one step at a time.  The envelope steps, the two-row lattice and the
-Monte Carlo crossings must match their reference exactly, the weights to
-1e-12 relative, and the ``np.interp`` lattice values to 1e-9.  The pure-Python
-``find_root`` must return SciPy's ``brentq`` bits on the library's own root
-finds.  The last row times ``import stopbound`` in fresh interpreters.
+path one step at a time through the same chunks of normals.  The envelope
+steps, the two-row lattice and the Monte Carlo estimates must match their
+reference exactly, the weights to 1e-12 relative, and the ``np.interp``
+lattice values to 1e-9.  The pure-Python ``find_root`` must return SciPy's
+``brentq`` bits on the library's own root finds.  The last row times ``import stopbound`` in fresh interpreters.
 """
 
 import math
@@ -35,7 +35,7 @@ from reference_loops import (  # noqa: E402
     adaptive_weights,
     reference_dp_backward,
     reference_lower_step,
-    reference_mc_first_crossing,
+    reference_mc_value,
     reference_two_row_dp_backward,
     reference_upper_step,
 )
@@ -127,19 +127,33 @@ def lattice_step(t_steps=8000, x_steps=6000, t_min=-4.0):
 
 
 def monte_carlo(paths=5000, n_steps=2000, t_min=-1.0):
-    """Time the crossing kernel against the step loop on one draw of normals."""
+    """Time ``mc_value`` against its chunk schedule walked by the step loop."""
     p = builtin("linear")
-    b_path = oracle.backward_induction(p, t_min, None, n_steps, 500).boundary
-    dt = -t_min / n_steps
-    normals = np.random.default_rng(0).standard_normal((paths, n_steps))
-    t_ref, ref = _time(reference_mc_first_crossing, 0.0, n_steps, dt, normals, b_path, repeat=1)
-    # The kernel overwrites its normals, so it gets a copy.
-    t_new, new = _time(k.mc_first_crossing, 0.0, n_steps, dt, normals.copy(), b_path, repeat=1)
-    if not all(np.array_equal(a, b) for a, b in zip(ref, new)):
-        raise AssertionError("mc_first_crossing: block pass and step loop differ")
-    print(f"linear Monte Carlo from ({t_min:g}, 0), {paths} paths x {n_steps} steps")
-    print(f"{'kernel':<22}{'reference (s)':>15}{'current (s)':>13}{'speedup':>10}")
-    print(f"{'mc_first_crossing':<22}{t_ref:>15.6f}{t_new:>13.6f}{t_ref / t_new:>10.1f}")
+    rule, _ = oracle.extract_d(oracle.backward_induction(p, t_min, None, n_steps, 500),
+                               np.linspace(0.0, p.b_inf, 60))
+    args = (p, t_min, 0.0, rule, paths, 0)
+    drawn = []
+    kernel = k.mc_first_crossing
+
+    def counted(x, dt, normals, b):
+        drawn.append(normals.size)
+        return kernel(x, dt, normals, b)
+
+    t_ref, ref = _time(reference_mc_value, *args, n_steps=n_steps, repeat=1)
+    k.mc_first_crossing = counted
+    try:
+        t_new, new = _time(oracle.mc_value, *args, n_steps=n_steps, repeat=1)
+    finally:
+        k.mc_first_crossing = kernel
+    if new != ref:
+        raise AssertionError("mc_value: chunked kernel and step loop differ")
+    width = max(1, oracle._MC_BLOCK_VALUES // paths)
+    print(f"linear Monte Carlo from ({t_min:g}, 0), {paths} paths x {n_steps} steps,"
+          f" chunks of {width} steps, estimates equal")
+    print(f"normals drawn {sum(drawn):,} of paths x n_steps {paths * n_steps:,}"
+          f" ({sum(drawn) / (paths * n_steps):.3f})")
+    print(f"{'function':<22}{'step loop (s)':>15}{'current (s)':>13}{'speedup':>10}")
+    print(f"{'mc_value':<22}{t_ref:>15.6f}{t_new:>13.6f}{t_ref / t_new:>10.1f}")
 
 
 def _root_calls():

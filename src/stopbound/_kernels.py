@@ -6,7 +6,8 @@ Callers look every kernel up as an attribute of this module, so a profiler
 can wrap it in one place.  ``dp_backward`` loops over time slices, each
 step one sparse matvec (a stencil with no stored zeros) and three row
 passes; ``mc_first_crossing`` has no step loop: it is one cumulative sum
-and one comparison over a block of whole paths, which the caller sizes.
+and one comparison over a chunk of time steps for the paths still running,
+which the caller sizes and draws.
 
 Shapes used throughout:
 
@@ -216,26 +217,24 @@ def dp_backward(disc, hx, xs, dt, gh_x, gh_w):
     return v, v_terminal, boundary
 
 
-def mc_first_crossing(x0, n_steps, dt, normals, b_path):
-    """First-crossing steps and positions of Euler paths against a boundary.
+def mc_first_crossing(x, dt, normals, b):
+    """First crossings of Euler paths over one chunk of time steps.
 
-    ``normals`` has shape ``(paths, n_steps)`` and is overwritten with the
-    paths' positions; ``b_path[k]`` is the boundary level at step ``k``
-    (``b_path[0]`` applies at the start).  A path stops at the first step
-    where ``x >= b``; paths that never cross stop at the final step.  The
-    positions are one sequential cumulative sum along each path, so they
-    round exactly as a step-by-step walk from ``x0`` would.  Returns
-    ``(stop_step, stop_x)``.
+    Row ``i`` of ``normals`` (shape ``(paths, width)``) drives path ``i`` from
+    position ``x[i]`` (``x`` may be a scalar) over the next ``width`` steps
+    of length ``dt``; ``b[j]`` is the boundary level after step ``j + 1``.
+    ``normals`` is overwritten with the positions, one sequential cumulative
+    sum along each row, so they round exactly as a step-by-step walk would.
+    A path crosses at the first column where ``x >= b``.  Returns
+    ``(col, x_at)``: the crossing column, or ``width`` for a path that does
+    not cross, and the position there (at the last column if none).
     """
-    paths = normals.shape[0]
-    if x0 >= b_path[0]:
-        return np.zeros(paths, dtype=np.int64), np.full(paths, float(x0))
+    width = normals.shape[1]
     normals *= math.sqrt(dt)
-    normals[:, 0] += x0
-    x = np.cumsum(normals, axis=1, out=normals)
-    hit = x >= b_path[1:]
+    normals[:, 0] += x
+    pos = np.cumsum(normals, axis=1, out=normals)
+    hit = pos >= b
     first = hit.argmax(axis=1)
-    rows = np.arange(paths)
-    crossed = hit[rows, first]
-    stop_step = np.where(crossed, first + 1, n_steps)
-    return stop_step, x[rows, stop_step - 1]
+    rows = np.arange(normals.shape[0])
+    col = np.where(hit[rows, first], first, width)
+    return col, pos[rows, np.minimum(col, width - 1)]

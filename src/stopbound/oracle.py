@@ -18,8 +18,9 @@ On the uniform lattice the one-step expectation is one fixed banded sparse
 matrix, built once per lattice (:func:`_kernels.expectation_stencil`).  The
 backward induction applies it to two rolling value rows and reads the
 boundary off each slice as it goes, so a lattice holds memory in
-``t_steps + x_steps``, not in their product.  Monte Carlo draws its normals
-in blocks of whole paths, so its memory is one block, not ``paths`` rows.
+``t_steps + x_steps``, not in their product.  Monte Carlo advances all paths
+together in chunks of time steps and draws normals only for the paths still
+running, so its memory is one chunk, not ``paths`` rows.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ __all__ = [
 ]
 
 
-# Normals drawn per Monte Carlo block (8 MB): whole paths, at least one.
+# Normals per Monte Carlo chunk (8 MB): every path, at least one time step.
 _MC_BLOCK_VALUES = 2**20
 
 
@@ -253,12 +254,18 @@ def mc_value(
     crossings only at discrete dates misses excursions between them, so the
     barrier is shifted toward the paths by ``0.5826 * sqrt(dt)``, the
     Broadie--Glasserman--Kou continuity correction, which cancels the
-    leading bias.  The normals are drawn in blocks of whole paths, about
-    :data:`_MC_BLOCK_VALUES` at a time, so memory does not grow with
-    ``paths``; consecutive blocks from one generator are the rows of a
-    single ``(paths, n_steps)`` draw, so the estimate does not depend on the
-    block size.  Bit-for-bit reproducible for a fixed seed.  Returns
-    ``(estimate, standard_error)``.
+    leading bias.
+
+    The simulation advances in chunks of ``max(1, _MC_BLOCK_VALUES //
+    paths)`` time steps (the last may be shorter) over the paths still
+    running: each chunk fills one preallocated buffer with normals for
+    those paths only, so a path that has stopped draws nothing more, a
+    start already in the stopping region draws nothing at all, and memory
+    is one chunk of about :data:`_MC_BLOCK_VALUES` values whatever
+    ``paths`` and ``n_steps`` are.  Which normal drives which path step
+    depends on the chunk width, so the estimate does too (within its
+    standard error); for a fixed seed and path count it is bit-for-bit
+    reproducible.  Returns ``(estimate, standard_error)``.
     """
     if p.h is None:
         raise ValueError(f"problem {p.label!r} carries no payoff to simulate")
@@ -274,13 +281,26 @@ def mc_value(
                        left=boundary.nodes[-1], right=0.0)
     b_path = np.maximum(b_path - 0.5826 * math.sqrt(dt), 0.0)
     rng = np.random.default_rng(rng_seed)
-    rows = max(1, _MC_BLOCK_VALUES // n_steps)
-    stops = [
-        _kernels.mc_first_crossing(float(x0), n_steps, dt,
-                                   rng.standard_normal((min(rows, paths - i), n_steps)), b_path)
-        for i in range(0, paths, rows)
-    ]
-    stop_step, stop_x = map(np.concatenate, zip(*stops))
+    width = max(1, _MC_BLOCK_VALUES // paths)
+    buf = np.empty(paths * width)
+    stop_step = np.zeros(paths, dtype=np.int64)
+    stop_x = np.full(paths, float(x0))
+    # A start at or past the boundary stops at step 0: no path runs.
+    live = np.arange(paths if x0 < b_path[0] else 0)
+    x = stop_x[live]
+    for k in range(0, n_steps, width):
+        if not live.size:
+            break
+        w = min(width, n_steps - k)
+        normals = buf[:live.size * w].reshape(live.size, w)
+        rng.standard_normal(out=normals)
+        col, x = _kernels.mc_first_crossing(x, dt, normals, b_path[k + 1:k + 1 + w])
+        stopped = col < w
+        stop_step[live[stopped]] = k + 1 + col[stopped]
+        stop_x[live[stopped]] = x[stopped]
+        live, x = live[~stopped], x[~stopped]
+    stop_step[live] = n_steps
+    stop_x[live] = x
     t_stop = t0 + stop_step * dt
     payoff = np.exp(-p.r * t_stop) * np.array([p.h(x) for x in stop_x])
     est = float(payoff.mean())

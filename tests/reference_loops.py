@@ -9,9 +9,10 @@ stores the whole ``(n_t, n_x)`` value array; the sparse stencil with two
 rolling rows must match its values and boundary to round-off.  That
 two-row loop stored the stencil's zeros and formed the value-payoff gap of
 every slice; the three-pass step must reproduce it bit for bit.  Monte Carlo
-walked all paths one step at a time over one ``(paths, n_steps)`` draw of
-normals; the cumulative sum over blocks of paths must reproduce its
-estimates bit for bit.  The tests check these agreements and
+walks every running path one step at a time over each chunk of normals; the
+cumulative sum over a chunk must reproduce its estimates bit for bit.  The
+former whole-path draw is kept as well: a single chunk spanning every step
+must reproduce it.  The tests check these agreements and
 ``benchmarks/bench_kernels.py`` times against these loops.
 """
 
@@ -20,7 +21,7 @@ import math
 import numpy as np
 from scipy import sparse
 
-from stopbound import _kernels, numerics
+from stopbound import _kernels, numerics, oracle
 
 
 def _bisect(holds, t_max, tol, keep_high):
@@ -203,11 +204,14 @@ def monotone_loop(b):
 
 
 def reference_mc_first_crossing(x0, n_steps, dt, normals, b_path):
-    """First crossings by one masked update of every live path per step."""
+    """First crossings by one masked update of every live path per step.
+
+    ``x0`` is a start position shared by every path or one per path.
+    """
     paths = normals.shape[0]
     stop_step = np.full(paths, n_steps, dtype=np.int64)
     stop_x = np.empty(paths)
-    x = np.full(paths, float(x0))
+    x = np.broadcast_to(np.asarray(x0, dtype=float), (paths,)).copy()
     alive = x < b_path[0]
     stop_x[~alive] = x[~alive]
     stop_step[~alive] = 0
@@ -222,14 +226,46 @@ def reference_mc_first_crossing(x0, n_steps, dt, normals, b_path):
     return stop_step, stop_x
 
 
-def reference_mc_value(p, t0, x0, boundary, paths, rng_seed, n_steps=2000):
-    """``oracle.mc_value`` from one ``(paths, n_steps)`` draw and the step loop."""
+def _mc_b_path(t0, boundary, n_steps):
     dt = -t0 / n_steps
     ts = t0 + dt * np.arange(n_steps + 1)
     b_path = np.interp(ts, boundary.values[::-1], boundary.nodes[::-1],
                        left=boundary.nodes[-1], right=0.0)
-    b_path = np.maximum(b_path - 0.5826 * math.sqrt(dt), 0.0)
+    return dt, np.maximum(b_path - 0.5826 * math.sqrt(dt), 0.0)
+
+
+def _mc_estimate(p, t0, dt, stop_step, stop_x):
+    payoff = np.exp(-p.r * (t0 + stop_step * dt)) * np.array([p.h(x) for x in stop_x])
+    return float(payoff.mean()), float(payoff.std(ddof=1) / math.sqrt(stop_x.shape[0]))
+
+
+def reference_one_shot_mc_value(p, t0, x0, boundary, paths, rng_seed, n_steps=2000):
+    """The former ``oracle.mc_value``: one ``(paths, n_steps)`` draw and the step loop."""
+    dt, b_path = _mc_b_path(t0, boundary, n_steps)
     normals = np.random.default_rng(rng_seed).standard_normal((paths, n_steps))
     stop_step, stop_x = reference_mc_first_crossing(float(x0), n_steps, dt, normals, b_path)
-    payoff = np.exp(-p.r * (t0 + stop_step * dt)) * np.array([p.h(x) for x in stop_x])
-    return float(payoff.mean()), float(payoff.std(ddof=1) / math.sqrt(paths))
+    return _mc_estimate(p, t0, dt, stop_step, stop_x)
+
+
+def reference_mc_value(p, t0, x0, boundary, paths, rng_seed, n_steps=2000, width=None):
+    """``oracle.mc_value`` by its chunk schedule, each chunk walked by the step loop.
+
+    Each chunk of ``width`` steps (by default the oracle's) draws a fresh
+    ``(running paths, steps)`` array of normals, in path order; a path runs
+    on while it ends the chunk below the boundary.
+    """
+    if width is None:
+        width = max(1, oracle._MC_BLOCK_VALUES // paths)
+    dt, b_path = _mc_b_path(t0, boundary, n_steps)
+    rng = np.random.default_rng(rng_seed)
+    stop_step = np.zeros(paths, dtype=np.int64)
+    stop_x = np.full(paths, float(x0))
+    live = np.flatnonzero(stop_x < b_path[0])
+    for k in range(0, n_steps, width):
+        w = min(width, n_steps - k)
+        normals = rng.standard_normal((live.size, w))
+        s, x = reference_mc_first_crossing(stop_x[live], w, dt, normals, b_path[k:k + w + 1])
+        stop_step[live] = k + s
+        stop_x[live] = x
+        live = live[x < b_path[k + s]]
+    return _mc_estimate(p, t0, dt, stop_step, stop_x)

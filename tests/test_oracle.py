@@ -18,6 +18,7 @@ from reference_loops import (
     reference_extract_boundary,
     reference_mc_first_crossing,
     reference_mc_value,
+    reference_one_shot_mc_value,
     reference_stencil,
     reference_two_row_dp_backward,
 )
@@ -294,36 +295,80 @@ class TestMonteCarlo:
         b_path = np.full(41, 2.0)
         b_path[::7] = 3.0
         ref = reference_mc_first_crossing(0.0, 40, 1.0, normals, b_path)
-        s, x = _kernels.mc_first_crossing(0.0, 40, 1.0, normals.copy(), b_path)
+        col, x = _kernels.mc_first_crossing(0.0, 1.0, normals.copy(), b_path[1:])
+        s = np.minimum(col + 1, 40)
         assert np.array_equal(s, ref[0]) and np.array_equal(x, ref[1])
         assert np.any(x == b_path[s]) and np.any(s == 40)
 
     @pytest.mark.parametrize("x0", [-0.5, 0.0, 0.3, 0.9])
-    def test_matches_one_shot_reference(self, linear, x0):
-        # 0.9 starts past the boundary.  At 400 steps a block holds 2621
-        # paths, so 4097 paths are one whole block and a partial one.
+    def test_matches_one_shot_reference(self, monkeypatch, linear, x0):
+        # One chunk spanning every step draws the whole (paths, n_steps)
+        # array at once, so it is the former one-shot draw.  0.9 starts past
+        # the boundary.
+        monkeypatch.setattr(oracle, "_MC_BLOCK_VALUES", 4097 * 400)
         b = self._boundary(linear)
         args = (linear, -1.0, x0, b, 4097, 11)
-        assert oracle.mc_value(*args, n_steps=400) == reference_mc_value(*args, n_steps=400)
+        assert oracle.mc_value(*args, n_steps=400) == reference_one_shot_mc_value(
+            *args, n_steps=400)
 
-    @pytest.mark.parametrize("rows", [1, 3])
-    def test_blocks_of_few_rows_match(self, monkeypatch, rows):
+    @staticmethod
+    def _counted(monkeypatch):
+        """Record the shape of every chunk of normals and every normal drawn."""
+        shapes, drawn = [], []
+        kernel, default_rng = _kernels.mc_first_crossing, np.random.default_rng
+
+        def counted(x, dt, normals, b):
+            shapes.append(normals.shape)
+            return kernel(x, dt, normals, b)
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, *args, **kwargs):
+                out = self.rng.standard_normal(*args, **kwargs)
+                drawn.append(out.size)
+                return out
+
+        monkeypatch.setattr(_kernels, "mc_first_crossing", counted)
+        monkeypatch.setattr(oracle.np.random, "default_rng", CountingRng)
+        return shapes, drawn
+
+    @pytest.mark.parametrize("width", [1, 3, 52])
+    def test_chunk_widths_match(self, monkeypatch, linear, width):
+        # 110 steps end on a short chunk at widths 3 and 52.  Some paths run
+        # to time 0, so every chunk is drawn, except from 0.3 on the put,
+        # which starts past its boundary.
         p = american_put(1.0, 0.5)
         rule, _ = oracle.extract_d(oracle.backward_induction(p, -1.0, None, 200, 200),
                                    np.linspace(0.0, p.b_inf, 40))
-        sizes = []
-        kernel = _kernels.mc_first_crossing
+        schedule = [width] * (110 // width) + [110 % width] * (110 % width > 0)
+        monkeypatch.setattr(oracle, "_MC_BLOCK_VALUES", 1000 * width + 999)
+        shapes, _ = self._counted(monkeypatch)
+        for prob, b in ((p, rule), (linear, self._boundary(linear))):
+            for x0 in (-0.5, 0.0, 0.3):
+                args = (prob, -1.0, x0, b, 1000, 3)
+                ref = reference_mc_value(*args, n_steps=110, width=width)
+                shapes.clear()
+                assert oracle.mc_value(*args, n_steps=110) == ref
+                stops_at_once = prob is p and x0 == 0.3
+                assert [w for _, w in shapes] == ([] if stops_at_once else schedule)
 
-        def counted(x0, n_steps, dt, normals, b_path):
-            sizes.append(normals.shape[0])
-            return kernel(x0, n_steps, dt, normals, b_path)
+    def test_draws_only_for_running_paths(self, monkeypatch, linear):
+        # Chunks of 20 steps: 20 chunks, each drawn only for the paths left.
+        monkeypatch.setattr(oracle, "_MC_BLOCK_VALUES", 2000 * 20)
+        shapes, drawn = self._counted(monkeypatch)
+        oracle.mc_value(linear, -1.0, 0.0, self._boundary(linear), 2000, 8, n_steps=400)
+        rows = [r for r, _ in shapes]
+        assert rows[0] == 2000 and rows == sorted(rows, reverse=True) and rows[-1] < 2000
+        assert sum(drawn) == sum(r * w for r, w in shapes) < 2000 * 400
 
-        monkeypatch.setattr(_kernels, "mc_first_crossing", counted)
-        monkeypatch.setattr(oracle, "_MC_BLOCK_VALUES", 50 * rows + 49)
-        for x0 in (-0.5, 0.0):
-            args = (p, -1.0, x0, rule, 1000, 3)
-            assert oracle.mc_value(*args, n_steps=50) == reference_mc_value(*args, n_steps=50)
-        assert sizes == 2 * ([rows] * (1000 // rows) + [1000 % rows] * (1000 % rows > 0))
+    def test_stop_at_once_draws_nothing(self, monkeypatch, linear):
+        shapes, drawn = self._counted(monkeypatch)
+        est, se = oracle.mc_value(linear, -1.0, 0.9, self._boundary(linear), 2000, 8)
+        assert shapes == [] and sum(drawn) == 0
+        assert est == pytest.approx(math.exp(linear.r) * linear.h(0.9), abs=1e-12)
+        assert se <= 1e-12
 
     def test_peak_memory_below_one_draw(self, linear):
         # One (20000, 2000) draw of normals is 320 MB.
