@@ -7,8 +7,9 @@ bisection with one full residual sum per probe, one adaptive quadrature per
 segment and parameter, and the lattice that interpolates every
 Gauss--Hermite point with ``np.interp`` and stores the whole value array,
 the two-row lattice step that stored the stencil's zeros and formed a
-value-payoff gap per slice, and the Monte Carlo loop that walks every live
-path one step at a time through the same chunks of normals.  The envelope
+value-payoff gap per slice, and the Monte Carlo loop that walks each member
+of every running antithetic pair one step at a time through the same chunks
+of normals.  The envelope
 steps, the two-row lattice and the Monte Carlo estimates must match their
 reference exactly, the weights to 1e-12 relative, and the ``np.interp``
 lattice values to 1e-9.  The pure-Python ``find_root`` must return SciPy's
@@ -127,7 +128,7 @@ def lattice_step(t_steps=8000, x_steps=6000, t_min=-4.0):
 
 
 def monte_carlo(paths=5000, n_steps=2000, t_min=-1.0):
-    """Time ``mc_value`` against its chunk schedule walked by the step loop."""
+    """Time ``mc_value`` against its paired chunk schedule walked by the step loop."""
     p = builtin("linear")
     rule, _ = oracle.extract_d(oracle.backward_induction(p, t_min, None, n_steps, 500),
                                np.linspace(0.0, p.b_inf, 60))
@@ -135,9 +136,9 @@ def monte_carlo(paths=5000, n_steps=2000, t_min=-1.0):
     drawn = []
     kernel = k.mc_first_crossing
 
-    def counted(x, dt, normals, b):
-        drawn.append(normals.size)
-        return kernel(x, dt, normals, b)
+    def counted(x, dt, walks, b):
+        drawn.append(walks[0].size)
+        return kernel(x, dt, walks, b)
 
     t_ref, ref = _time(reference_mc_value, *args, n_steps=n_steps, repeat=1)
     k.mc_first_crossing = counted
@@ -148,8 +149,8 @@ def monte_carlo(paths=5000, n_steps=2000, t_min=-1.0):
     if new != ref:
         raise AssertionError("mc_value: chunked kernel and step loop differ")
     width = max(1, oracle._MC_BLOCK_VALUES // paths)
-    print(f"linear Monte Carlo from ({t_min:g}, 0), {paths} paths x {n_steps} steps,"
-          f" chunks of {width} steps, estimates equal")
+    print(f"linear Monte Carlo from ({t_min:g}, 0), {paths // 2} antithetic pairs x"
+          f" {n_steps} steps, chunks of {width} steps, estimates equal")
     print(f"normals drawn {sum(drawn):,} of paths x n_steps {paths * n_steps:,}"
           f" ({sum(drawn) / (paths * n_steps):.3f})")
     print(f"{'function':<22}{'step loop (s)':>15}{'current (s)':>13}{'speedup':>10}")

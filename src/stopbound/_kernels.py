@@ -5,9 +5,10 @@ The solver and the envelope read ``residuals``, ``surrogate_objective`` and
 Callers look every kernel up as an attribute of this module, so a profiler
 can wrap it in one place.  ``dp_backward`` loops over time slices, each
 step one sparse matvec (a stencil with no stored zeros) and three row
-passes; ``mc_first_crossing`` has no step loop: it is one cumulative sum
-and one comparison over a chunk of time steps for the paths still running,
-which the caller sizes and draws.
+passes; ``mc_first_crossing`` walks antithetic pairs of paths over a
+time-major chunk of normals, which the caller sizes and draws for the pairs
+still running: one row add per step and member, then one comparison over
+the chunk.
 
 Shapes used throughout:
 
@@ -217,24 +218,37 @@ def dp_backward(disc, hx, xs, dt, gh_x, gh_w):
     return v, v_terminal, boundary
 
 
-def mc_first_crossing(x, dt, normals, b):
-    """First crossings of Euler paths over one chunk of time steps.
+def mc_first_crossing(x, dt, walks, b):
+    """First crossings of antithetic pairs of Euler paths over one chunk of steps.
 
-    Row ``i`` of ``normals`` (shape ``(paths, width)``) drives path ``i`` from
-    position ``x[i]`` (``x`` may be a scalar) over the next ``width`` steps
-    of length ``dt``; ``b[j]`` is the boundary level after step ``j + 1``.
-    ``normals`` is overwritten with the positions, one sequential cumulative
-    sum along each row, so they round exactly as a step-by-step walk would.
-    A path crosses at the first column where ``x >= b``.  Returns
-    ``(col, x_at)``: the crossing column, or ``width`` for a path that does
-    not cross, and the position there (at the last column if none).
+    ``walks`` has shape ``(2, width, pairs)``.  On entry ``walks[0]`` holds
+    the normals, time-major: ``walks[0, j, i]`` drives step ``j + 1`` of
+    pair ``i``, its first member by ``+z`` and its second by ``-z``, from
+    the positions ``x[0, i]`` and ``x[1, i]`` (``x`` has shape ``(2,
+    pairs)``); ``b[j]`` is the boundary level after step ``j + 1`` of length
+    ``dt``.  ``walks`` is overwritten with the positions of both members,
+    one row add per step, so each rounds exactly as a step-by-step walk
+    would.  A member crosses at the first step where its position is
+    ``>= b``; one that starts at ``-inf`` never does, so a stopped member
+    can ride along with a partner that still runs.  "Any hit" is reduced
+    along time first and the first hit is searched only for members that
+    hit.  Returns ``(col, x_at)``, each of shape ``(2, pairs)``: the
+    crossing column, or ``width`` for a member that does not cross, and the
+    position there (at the last column if none).
     """
-    width = normals.shape[1]
-    normals *= math.sqrt(dt)
-    normals[:, 0] += x
-    pos = np.cumsum(normals, axis=1, out=normals)
-    hit = pos >= b
-    first = hit.argmax(axis=1)
-    rows = np.arange(normals.shape[0])
-    col = np.where(hit[rows, first], first, width)
-    return col, pos[rows, np.minimum(col, width - 1)]
+    width = walks.shape[1]
+    plus, minus = walks
+    plus *= math.sqrt(dt)
+    np.subtract(x[1], plus[0], out=minus[0])
+    plus[0] += x[0]
+    for j in range(1, width):
+        np.subtract(minus[j - 1], plus[j], out=minus[j])
+        np.add(plus[j - 1], plus[j], out=plus[j])
+    hit = walks >= b[:, None]
+    member, pair = np.nonzero(hit.any(axis=1))
+    first = hit.transpose(0, 2, 1)[member, pair].argmax(axis=1)
+    col = np.full(x.shape, width)
+    col[member, pair] = first
+    x_at = walks[:, -1].copy()
+    x_at[member, pair] = walks[member, first, pair]
+    return col, x_at

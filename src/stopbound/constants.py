@@ -4,7 +4,10 @@ Near the terminal time the stopping boundary of a one-sided problem behaves
 like ``d(y) = -B * y**2 + o(y**2)`` where ``B`` depends only on the local
 power ``beta`` of the generator payoff at the edge of the terminal
 continuation set and on the ratio ``m_ratio`` of its one-sided leading
-coefficients.  ``B`` is pinned down by the moment identity
+coefficients: with ``|h_tilde(y)| ~ m_left * |y|**beta`` on the continuation
+side ``y < 0`` and ``m_right * y**beta`` on the stopping side ``y > 0``,
+``m_ratio = m_left / m_right``, the left coefficient's magnitude over the
+right's.  ``B`` is pinned down by the moment identity
 
     integral_0^inf z**beta * exp(-B z**2 / 2 + z) dz = m_ratio * Gamma(beta+1)
 

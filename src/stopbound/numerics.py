@@ -177,25 +177,23 @@ def find_root(f, bracket: RootBracket, tol: float = 1e-10) -> float:
     Uses Brent's method (Brent 1973, *Algorithms for Minimization without
     Derivatives*, ch. 4) in pure Python, so no SciPy module is loaded.  It
     takes the steps of SciPy's ``brentq`` with ``xtol=tol`` and
-    ``rtol=4 * 2.3e-16`` and returns the same bits.  The result lies within
-    the initial bracket and is within ``tol + rtol * |x*|`` of a sign change
-    of ``f``.  A NaN function value raises ``ValueError``, and a run that
-    has not converged after 100 iterations raises ``RuntimeError``.
+    ``rtol=4 * 2.3e-16`` and returns the same bits.  The values at the
+    bracket ends are read from ``bracket``, not evaluated again, so they
+    must be ``f(lo)`` and ``f(hi)``.  The result lies within the initial
+    bracket and is within ``tol + rtol * |x*|`` of a sign change of ``f``.
+    A NaN function value raises ``ValueError``, and a run that has not
+    converged after 100 iterations raises ``RuntimeError``.
     """
-    if bracket.f_lo == 0.0:
-        return bracket.lo
-    if bracket.f_hi == 0.0:
-        return bracket.hi
     if tol <= 0.0:
         raise ValueError(f"root tolerance must be positive, got {tol}")
-    return _brent(f, float(bracket.lo), float(bracket.hi), tol, 4.0 * 2.3e-16)
+    return _brent(f, float(bracket.lo), float(bracket.hi),
+                  float(bracket.f_lo), float(bracket.f_hi), tol, 4.0 * 2.3e-16)
 
 
 _BRENT_MAXITER = 100
 
 
-def _value(f, x: float) -> float:
-    fx = float(f(x))
+def _checked(x: float, fx: float) -> float:
     if fx != fx:
         raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
     return fx
@@ -211,9 +209,10 @@ def _div(a: float, b: float) -> float:
         return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
-def _brent(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+def _brent(f, xa: float, xb: float, fa: float, fb: float, xtol: float, rtol: float) -> float:
     """Brent's method, step for step as ``scipy/optimize/Zeros/brentq.c``.
 
+    ``fa`` and ``fb`` are ``f(xa)`` and ``f(xb)``, already evaluated.
     ``xcur`` is the best estimate, ``xpre`` the previous one and ``xblk``
     the contrapoint, with ``f(xblk)`` of the other sign; ``scur`` and
     ``spre`` are the last two steps.  The run stops when half the bracket
@@ -221,8 +220,8 @@ def _brent(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
     """
     xpre, xcur = xa, xb
     xblk = fblk = spre = scur = 0.0
-    fpre = _value(f, xpre)
-    fcur = _value(f, xcur)
+    fpre = _checked(xpre, fa)
+    fcur = _checked(xcur, fb)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -262,7 +261,7 @@ def _brent(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = _value(f, xcur)
+        fcur = _checked(xcur, float(f(xcur)))
     raise RuntimeError(
         f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}"
     )

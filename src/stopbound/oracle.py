@@ -18,9 +18,12 @@ On the uniform lattice the one-step expectation is one fixed banded sparse
 matrix, built once per lattice (:func:`_kernels.expectation_stencil`).  The
 backward induction applies it to two rolling value rows and reads the
 boundary off each slice as it goes, so a lattice holds memory in
-``t_steps + x_steps``, not in their product.  Monte Carlo advances all paths
-together in chunks of time steps and draws normals only for the paths still
-running, so its memory is one chunk, not ``paths`` rows.
+``t_steps + x_steps``, not in their product.  Monte Carlo simulates
+antithetic pairs of paths, driven by ``z`` and ``-z``, and takes its
+standard error over the pairs, which are the independent samples; so
+``paths`` must be even.  It advances all pairs together in chunks of time
+steps and draws normals only for the pairs still running, so its memory is
+one chunk, not ``paths`` rows.
 """
 
 from __future__ import annotations
@@ -49,7 +52,9 @@ __all__ = [
 ]
 
 
-# Normals per Monte Carlo chunk (8 MB): every path, at least one time step.
+# Float values per Monte Carlo chunk (8 MB), at least one time step for every
+# path: half hold the normals of the running pairs, half the positions of
+# their second members.
 _MC_BLOCK_VALUES = 2**20
 
 
@@ -256,21 +261,32 @@ def mc_value(
     Broadie--Glasserman--Kou continuity correction, which cancels the
     leading bias.
 
+    The paths are ``paths // 2`` antithetic pairs (Glasserman 2004, §4.2),
+    so ``paths`` must be even: the two members of a pair are driven by the
+    normals ``z`` and ``-z``.  The estimate is the mean payoff over all
+    paths; the pairs are the independent samples, so the standard error is
+    the sample standard deviation of the pair means over
+    ``sqrt(paths // 2)``.
+
     The simulation advances in chunks of ``max(1, _MC_BLOCK_VALUES //
-    paths)`` time steps (the last may be shorter) over the paths still
-    running: each chunk fills one preallocated buffer with normals for
-    those paths only, so a path that has stopped draws nothing more, a
-    start already in the stopping region draws nothing at all, and memory
-    is one chunk of about :data:`_MC_BLOCK_VALUES` values whatever
-    ``paths`` and ``n_steps`` are.  Which normal drives which path step
-    depends on the chunk width, so the estimate does too (within its
-    standard error); for a fixed seed and path count it is bit-for-bit
-    reproducible.  Returns ``(estimate, standard_error)``.
+    paths)`` time steps (the last may be shorter) over the pairs still
+    running, a pair running while either member does.  Each chunk draws one
+    time-major ``(steps, running pairs)`` block of normals into a
+    preallocated buffer that also holds the second member's positions, so
+    a pair whose members have both stopped draws nothing more, a start
+    already in the stopping region draws nothing at all, and memory is one
+    chunk of about :data:`_MC_BLOCK_VALUES` values whatever ``paths`` and
+    ``n_steps`` are.  Which normal drives which step depends on the chunk
+    width, so the estimate does too (within its standard error); for a
+    fixed seed and path count it is bit-for-bit reproducible.  Returns
+    ``(estimate, standard_error)``.
     """
     if p.h is None:
         raise ValueError(f"problem {p.label!r} carries no payoff to simulate")
     if paths < 1000:
         raise ValueError("need at least 1000 paths")
+    if paths % 2:
+        raise ValueError("paths must be even: they are simulated in antithetic pairs")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     if not t0 < 0.0:
@@ -281,28 +297,35 @@ def mc_value(
                        left=boundary.nodes[-1], right=0.0)
     b_path = np.maximum(b_path - 0.5826 * math.sqrt(dt), 0.0)
     rng = np.random.default_rng(rng_seed)
+    pairs = paths // 2
     width = max(1, _MC_BLOCK_VALUES // paths)
     buf = np.empty(paths * width)
-    stop_step = np.zeros(paths, dtype=np.int64)
-    stop_x = np.full(paths, float(x0))
-    # A start at or past the boundary stops at step 0: no path runs.
-    live = np.arange(paths if x0 < b_path[0] else 0)
-    x = stop_x[live]
+    # Row 0 is the member driven by +z, row 1 the one driven by -z.
+    stop_step = np.zeros((2, pairs), dtype=np.int64)
+    stop_x = np.full((2, pairs), float(x0))
+    # A start at or past the boundary stops at step 0: no pair runs.
+    live = np.arange(pairs if x0 < b_path[0] else 0)
+    x = stop_x[:, live]
     for k in range(0, n_steps, width):
         if not live.size:
             break
         w = min(width, n_steps - k)
-        normals = buf[:live.size * w].reshape(live.size, w)
-        rng.standard_normal(out=normals)
-        col, x = _kernels.mc_first_crossing(x, dt, normals, b_path[k + 1:k + 1 + w])
-        stopped = col < w
-        stop_step[live[stopped]] = k + 1 + col[stopped]
-        stop_x[live[stopped]] = x[stopped]
-        live, x = live[~stopped], x[~stopped]
-    stop_step[live] = n_steps
-    stop_x[live] = x
+        walks = buf[:2 * w * live.size].reshape(2, w, live.size)
+        rng.standard_normal(out=walks[0])
+        col, x = _kernels.mc_first_crossing(x, dt, walks, b_path[k + 1:k + 1 + w])
+        member, pair = np.nonzero(col < w)
+        stop_step[member, live[pair]] = k + 1 + col[member, pair]
+        stop_x[member, live[pair]] = x[member, pair]
+        # A stopped member rides along at -inf, where it never crosses.
+        x[member, pair] = -np.inf
+        running = np.any(x > -np.inf, axis=0)
+        live, x = live[running], x[:, running]
+    member, pair = np.nonzero(x > -np.inf)
+    stop_step[member, live[pair]] = n_steps
+    stop_x[member, live[pair]] = x[member, pair]
     t_stop = t0 + stop_step * dt
-    payoff = np.exp(-p.r * t_stop) * np.array([p.h(x) for x in stop_x])
+    h_stop = np.array([p.h(x) for x in stop_x.ravel()]).reshape(2, pairs)
+    payoff = np.exp(-p.r * t_stop) * h_stop
     est = float(payoff.mean())
-    se = float(payoff.std(ddof=1) / math.sqrt(paths))
+    se = float(payoff.mean(axis=0).std(ddof=1) / math.sqrt(pairs))
     return est, se

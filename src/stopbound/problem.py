@@ -78,6 +78,12 @@ class Problem:
     beta, m_ratio : float
         Local power of ``h_tilde`` at the origin and ratio of its one-sided
         leading coefficients; select the universal boundary constant.
+        Near 0, ``|h_tilde(y)| ~ m_left * |y|**beta`` for ``y < 0`` and
+        ``m_right * y**beta`` for ``y > 0``; ``m_ratio = m_left / m_right``,
+        the left coefficient's magnitude over the right's.  For example
+        ``h_tilde = 4y`` on the left and ``y`` on the right has
+        ``m_ratio = 4``, and its lattice boundary gives ``B`` close to
+        ``solve_B(1, 4) = 1.0621``, not ``solve_B(1, 0.25) = 6.711``.
     shift : float
         Normalization translate; with ``flip`` it maps a normalized
         coordinate ``y`` back to the original one.

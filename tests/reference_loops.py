@@ -9,10 +9,11 @@ stores the whole ``(n_t, n_x)`` value array; the sparse stencil with two
 rolling rows must match its values and boundary to round-off.  That
 two-row loop stored the stencil's zeros and formed the value-payoff gap of
 every slice; the three-pass step must reproduce it bit for bit.  Monte Carlo
-walks every running path one step at a time over each chunk of normals; the
-cumulative sum over a chunk must reproduce its estimates bit for bit.  The
-former whole-path draw is kept as well: a single chunk spanning every step
-must reproduce it.  The tests check these agreements and
+walks each member of every running antithetic pair one step at a time over
+each time-major chunk of normals, the second member over their negation;
+the kernel's row adds must reproduce its estimates bit for bit.  The
+whole-path draw is kept as well: a single chunk spanning every step must
+reproduce it.  The tests check these agreements and
 ``benchmarks/bench_kernels.py`` times against these loops.
 """
 
@@ -235,37 +236,53 @@ def _mc_b_path(t0, boundary, n_steps):
 
 
 def _mc_estimate(p, t0, dt, stop_step, stop_x):
-    payoff = np.exp(-p.r * (t0 + stop_step * dt)) * np.array([p.h(x) for x in stop_x])
-    return float(payoff.mean()), float(payoff.std(ddof=1) / math.sqrt(stop_x.shape[0]))
+    """Mean payoff over every path; standard error over the pair means."""
+    h_stop = np.array([p.h(x) for x in stop_x.ravel()]).reshape(stop_x.shape)
+    payoff = np.exp(-p.r * (t0 + stop_step * dt)) * h_stop
+    pairs = stop_x.shape[1]
+    return float(payoff.mean()), float(payoff.mean(axis=0).std(ddof=1) / math.sqrt(pairs))
 
 
 def reference_one_shot_mc_value(p, t0, x0, boundary, paths, rng_seed, n_steps=2000):
-    """The former ``oracle.mc_value``: one ``(paths, n_steps)`` draw and the step loop."""
+    """One time-major ``(n_steps, paths // 2)`` draw; each member walked by the step loop.
+
+    The first member of every pair is driven by the normals, the second by
+    their negation.
+    """
     dt, b_path = _mc_b_path(t0, boundary, n_steps)
-    normals = np.random.default_rng(rng_seed).standard_normal((paths, n_steps))
-    stop_step, stop_x = reference_mc_first_crossing(float(x0), n_steps, dt, normals, b_path)
+    normals = np.random.default_rng(rng_seed).standard_normal((n_steps, paths // 2))
+    members = [reference_mc_first_crossing(float(x0), n_steps, dt, sign * normals.T, b_path)
+               for sign in (1.0, -1.0)]
+    stop_step, stop_x = (np.stack(a) for a in zip(*members))
     return _mc_estimate(p, t0, dt, stop_step, stop_x)
 
 
 def reference_mc_value(p, t0, x0, boundary, paths, rng_seed, n_steps=2000, width=None):
-    """``oracle.mc_value`` by its chunk schedule, each chunk walked by the step loop.
+    """``oracle.mc_value`` by its paired chunk schedule, each member walked by the step loop.
 
     Each chunk of ``width`` steps (by default the oracle's) draws a fresh
-    ``(running paths, steps)`` array of normals, in path order; a path runs
-    on while it ends the chunk below the boundary.
+    time-major ``(steps, running pairs)`` array of normals, in pair order.
+    The first member of a pair is driven by the normals, the second by
+    their negation.  A member runs on while it ends the chunk below the
+    boundary, and a pair while either member runs.
     """
     if width is None:
         width = max(1, oracle._MC_BLOCK_VALUES // paths)
     dt, b_path = _mc_b_path(t0, boundary, n_steps)
     rng = np.random.default_rng(rng_seed)
-    stop_step = np.zeros(paths, dtype=np.int64)
-    stop_x = np.full(paths, float(x0))
-    live = np.flatnonzero(stop_x < b_path[0])
+    stop_step = np.zeros((2, paths // 2), dtype=np.int64)
+    stop_x = np.full((2, paths // 2), float(x0))
+    running = stop_x < b_path[0]
     for k in range(0, n_steps, width):
+        live = np.flatnonzero(running.any(axis=0))
         w = min(width, n_steps - k)
-        normals = rng.standard_normal((live.size, w))
-        s, x = reference_mc_first_crossing(stop_x[live], w, dt, normals, b_path[k:k + w + 1])
-        stop_step[live] = k + s
-        stop_x[live] = x
-        live = live[x < b_path[k + s]]
+        normals = rng.standard_normal((w, live.size))
+        for m, sign in enumerate((1.0, -1.0)):
+            own = running[m, live]
+            idx = live[own]
+            s, x = reference_mc_first_crossing(stop_x[m, idx], w, dt, sign * normals[:, own].T,
+                                               b_path[k:k + w + 1])
+            stop_step[m, idx] = k + s
+            stop_x[m, idx] = x
+            running[m, idx] = x < b_path[k + s]
     return _mc_estimate(p, t0, dt, stop_step, stop_x)

@@ -74,15 +74,15 @@ class TestSentinel:
 
 class TestMonteCarloEdges:
     def test_immediate_crossing(self):
-        normals = np.zeros((5, 10))
+        walks = np.zeros((2, 10, 5))
         b_path = np.zeros(11)
-        s, x = _kernels.mc_first_crossing(1.0, 0.1, normals, b_path[1:])
+        s, x = _kernels.mc_first_crossing(np.ones((2, 5)), 0.1, walks, b_path[1:])
         assert np.all(s == 0)
         assert np.all(x == 1.0)
 
     def test_never_crossing(self):
-        normals = np.zeros((5, 10))
+        walks = np.zeros((2, 10, 5))
         b_path = np.full(11, 100.0)
-        s, x = _kernels.mc_first_crossing(0.0, 0.1, normals, b_path[1:])
+        s, x = _kernels.mc_first_crossing(np.zeros((2, 5)), 0.1, walks, b_path[1:])
         assert np.all(s == 10)
         assert np.all(x == 0.0)

@@ -185,6 +185,11 @@ class TestBrentPort:
             bracket = RootBracket(lo, hi, f(lo), f(hi))
             assert find_root(f, bracket, tol) == _brentq(f, bracket, tol)
 
+    def test_nan_at_a_bracket_end_raises(self):
+        bracket = RootBracket(0.0, 1.0, math.nan, 0.5)
+        with pytest.raises(ValueError, match="NaN"):
+            find_root(lambda x: x - 0.5, bracket)
+
     def test_nan_value_raises(self):
         # Finite at the bracket ends, NaN at the first interior point.
         def f(x):
@@ -213,8 +218,30 @@ class TestBrentPort:
         calls.clear()
         with pytest.raises(RuntimeError, match="after 100 iterations"):
             find_root(step, bracket, 1e-300)
-        assert len(calls) == 102  # both ends, then one point per iteration
-        assert calls == scipy_calls
+        # SciPy evaluates both ends, then one point per iteration; find_root
+        # reads the ends from the bracket.
+        assert len(scipy_calls) == 102 and len(calls) == 100
+        assert calls == scipy_calls[2:]
+
+    def test_bracket_ends_not_evaluated_again(self, monkeypatch):
+        # solve_B evaluates the bracket ends itself; brentq on that bracket
+        # evaluates them a second time, find_root does not.
+        calls = []
+        moment_integral = constants.moment_integral
+
+        def counted(B, *args):
+            calls.append(B)
+            return moment_integral(B, *args)
+
+        monkeypatch.setattr(constants, "moment_integral", counted)
+        got = constants.solve_B(1.0).B
+        ours = calls[:]
+        calls.clear()
+        monkeypatch.setattr(constants, "find_root", _brentq)
+        want = constants.solve_B(1.0).B
+        assert got == want
+        assert len(ours) == len(calls) - 2
+        assert ours == calls[:2] + calls[4:]
 
 
 class TestQuadratureSpec:

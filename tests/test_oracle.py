@@ -288,38 +288,64 @@ class TestMonteCarlo:
             oracle.mc_value(linear, 1.0, 0.0, b, 2000, 0)
         with pytest.raises(ValueError, match="n_steps"):
             oracle.mc_value(linear, -1.0, 0.0, b, 2000, 0, n_steps=0)
+        with pytest.raises(ValueError, match="even"):
+            oracle.mc_value(linear, -1.0, 0.0, b, 2001, 0)
+
+    @pytest.mark.parametrize("x0", [-0.5, 0.0, 0.3])
+    def test_mirror_cancels_when_the_rule_never_binds(self, linear, x0):
+        # d = -1e-9 y^2 binds only at time 0, where linear pays the position:
+        # the two members of a pair end at x0 + S and x0 - S.
+        nodes = np.linspace(0.0, 50.0, 200)
+        b = fredholm.BoundaryGrid(nodes, -1e-9 * nodes**2)
+        est, se = oracle.mc_value(linear, -1.0, x0, b, 2000, 6, n_steps=400)
+        assert est == pytest.approx(x0, abs=1e-12)
+        assert se <= 1e-12
 
     def test_kernel_matches_step_loop_on_ties(self):
         # Integer steps against integer levels land exactly on the boundary.
         normals = np.round(np.random.default_rng(4).normal(size=(300, 40)))
         b_path = np.full(41, 2.0)
         b_path[::7] = 3.0
-        ref = reference_mc_first_crossing(0.0, 40, 1.0, normals, b_path)
-        col, x = _kernels.mc_first_crossing(0.0, 1.0, normals.copy(), b_path[1:])
+        walks = np.stack([normals.T, np.empty((40, 300))])
+        col, x = _kernels.mc_first_crossing(np.zeros((2, 300)), 1.0, walks, b_path[1:])
         s = np.minimum(col + 1, 40)
-        assert np.array_equal(s, ref[0]) and np.array_equal(x, ref[1])
-        assert np.any(x == b_path[s]) and np.any(s == 40)
+        for m, sign in enumerate((1.0, -1.0)):
+            ref = reference_mc_first_crossing(0.0, 40, 1.0, sign * normals, b_path)
+            assert np.array_equal(s[m], ref[0]) and np.array_equal(x[m], ref[1])
+            assert np.any(x[m] == b_path[s[m]]) and np.any(s[m] == 40)
+
+    def test_stopped_member_rides_along(self):
+        # A member started at -inf never crosses; its partner walks as alone.
+        normals = np.random.default_rng(5).normal(size=(300, 40))
+        b_path = np.full(41, 1.5)
+        walks = np.stack([normals.T, np.empty((40, 300))])
+        start = np.array([np.zeros(300), np.full(300, -np.inf)])
+        col, x = _kernels.mc_first_crossing(start, 0.1, walks, b_path[1:])
+        ref = reference_mc_first_crossing(0.0, 40, 0.1, normals, b_path)
+        assert np.array_equal(np.minimum(col[0] + 1, 40), ref[0])
+        assert np.array_equal(x[0], ref[1]) and np.any(col[0] < 40)
+        assert np.all(col[1] == 40) and np.all(x[1] == -np.inf)
 
     @pytest.mark.parametrize("x0", [-0.5, 0.0, 0.3, 0.9])
     def test_matches_one_shot_reference(self, monkeypatch, linear, x0):
-        # One chunk spanning every step draws the whole (paths, n_steps)
-        # array at once, so it is the former one-shot draw.  0.9 starts past
-        # the boundary.
-        monkeypatch.setattr(oracle, "_MC_BLOCK_VALUES", 4097 * 400)
+        # One chunk spanning every step draws the whole (n_steps, pairs)
+        # array at once, so it is the one-shot draw.  0.9 starts past the
+        # boundary.
+        monkeypatch.setattr(oracle, "_MC_BLOCK_VALUES", 4098 * 400)
         b = self._boundary(linear)
-        args = (linear, -1.0, x0, b, 4097, 11)
+        args = (linear, -1.0, x0, b, 4098, 11)
         assert oracle.mc_value(*args, n_steps=400) == reference_one_shot_mc_value(
             *args, n_steps=400)
 
     @staticmethod
     def _counted(monkeypatch):
-        """Record the shape of every chunk of normals and every normal drawn."""
+        """Record the shape of every chunk's walks and every normal drawn."""
         shapes, drawn = [], []
         kernel, default_rng = _kernels.mc_first_crossing, np.random.default_rng
 
-        def counted(x, dt, normals, b):
-            shapes.append(normals.shape)
-            return kernel(x, dt, normals, b)
+        def counted(x, dt, walks, b):
+            shapes.append(walks.shape)
+            return kernel(x, dt, walks, b)
 
         class CountingRng:
             def __init__(self, seed):
@@ -352,16 +378,16 @@ class TestMonteCarlo:
                 shapes.clear()
                 assert oracle.mc_value(*args, n_steps=110) == ref
                 stops_at_once = prob is p and x0 == 0.3
-                assert [w for _, w in shapes] == ([] if stops_at_once else schedule)
+                assert [w for _, w, _ in shapes] == ([] if stops_at_once else schedule)
 
     def test_draws_only_for_running_paths(self, monkeypatch, linear):
-        # Chunks of 20 steps: 20 chunks, each drawn only for the paths left.
+        # Chunks of 20 steps: 20 chunks, each drawn only for the pairs left.
         monkeypatch.setattr(oracle, "_MC_BLOCK_VALUES", 2000 * 20)
         shapes, drawn = self._counted(monkeypatch)
         oracle.mc_value(linear, -1.0, 0.0, self._boundary(linear), 2000, 8, n_steps=400)
-        rows = [r for r, _ in shapes]
-        assert rows[0] == 2000 and rows == sorted(rows, reverse=True) and rows[-1] < 2000
-        assert sum(drawn) == sum(r * w for r, w in shapes) < 2000 * 400
+        rows = [r for _, _, r in shapes]
+        assert rows[0] == 1000 and rows == sorted(rows, reverse=True) and rows[-1] < 1000
+        assert sum(drawn) == sum(r * w for _, w, r in shapes) < 1000 * 400
 
     def test_stop_at_once_draws_nothing(self, monkeypatch, linear):
         shapes, drawn = self._counted(monkeypatch)
