@@ -6,13 +6,15 @@ The references live in ``tests/reference_loops.py``: the per-node scalar
 bisection with one full residual sum per probe, one adaptive quadrature per
 segment and parameter, and the lattice that interpolates every
 Gauss--Hermite point with ``np.interp`` and stores the whole value array,
-the two-row lattice step that stored the stencil's zeros and formed a
-value-payoff gap per slice, and the Monte Carlo loop that walks each member
-of every running antithetic pair one step at a time through the same chunks
-of normals.  The envelope
-steps, the two-row lattice and the Monte Carlo estimates must match their
-reference exactly, the weights to 1e-12 relative, and the ``np.interp``
-lattice values to 1e-9.  The pure-Python ``find_root`` must return SciPy's
+the two-row lattice step that stored the stencil's zeros, multiplied every
+row and formed a value-payoff gap per slice, and the Monte Carlo loop that
+walks each member of every running antithetic pair one step at a time
+through the same chunks of normals.  The envelope steps, the two-row
+lattice and the Monte Carlo estimates must match their reference exactly,
+the weights to 1e-12 relative, and the ``np.interp`` lattice values to
+1e-9.  The two-row comparison runs on each lattice that ``stopbound
+oracle`` runs in the benchmark and prints the share of stencil rows the
+current step multiplies.  The pure-Python ``find_root`` must return SciPy's
 ``brentq`` bits on the library's own root finds.  The last row times ``import stopbound`` in fresh interpreters.
 """
 
@@ -39,6 +41,7 @@ from reference_loops import (  # noqa: E402
     reference_mc_value,
     reference_two_row_dp_backward,
     reference_upper_step,
+    rows_multiplied,
 )
 
 
@@ -114,17 +117,33 @@ def lattice(t_steps=2000, x_steps=2000, t_min=-10.0):
     print(f"{'dp_backward':<22}{t_ref:>15.6f}{t_new:>13.6f}{t_ref / t_new:>10.1f}")
 
 
-def lattice_step(t_steps=8000, x_steps=6000, t_min=-4.0):
-    """Time the three-pass step against the two-row loop on the put's fine lattice."""
-    args = _lattice_inputs(american_put(1.0, 0.5), t_min, t_steps, x_steps)
-    t_ref, ref = _time(reference_two_row_dp_backward, *args, repeat=2)
-    t_new, new = _time(k.dp_backward, *args, repeat=2)
-    if not all(np.array_equal(a, b) for a, b in zip(ref, new)):
-        raise AssertionError("dp_backward: three-pass step and two-row loop differ")
-    print(f"american_put (1, 0.5) lattice from t = {t_min:g}, {t_steps + 1} x {x_steps},"
+# The four lattices of ``stopbound oracle`` at the benchmark's resolutions:
+# the coarse and the fine run of each refined boundary.
+ORACLE_LATTICES = (
+    ("linear", -10.0, 2000, 2000),
+    ("linear", -10.0, 8000, 4000),
+    ("american_put", -4.0, 2000, 3000),
+    ("american_put", -4.0, 8000, 6000),
+)
+
+
+def lattice_step():
+    """Time the prefix step against the two-row loop on each ``oracle`` lattice."""
+    print("dp_backward against the two-row loop that multiplies every row;"
           " values and boundary equal")
-    print(f"{'kernel':<22}{'two-row loop (s)':>18}{'current (s)':>13}{'speedup':>10}")
-    print(f"{'dp_backward':<22}{t_ref:>18.6f}{t_new:>13.6f}{t_ref / t_new:>10.2f}")
+    print(f"{'lattice':<38}{'two-row loop (s)':>18}{'current (s)':>13}{'speedup':>10}"
+          f"{'rows multiplied':>17}")
+    for label, t_min, t_steps, x_steps in ORACLE_LATTICES:
+        p = builtin("linear") if label == "linear" else american_put(1.0, 0.5)
+        args = _lattice_inputs(p, t_min, t_steps, x_steps)
+        t_ref, ref = _time(reference_two_row_dp_backward, *args, repeat=2)
+        t_new, new = _time(k.dp_backward, *args, repeat=2)
+        if not all(np.array_equal(a, b) for a, b in zip(ref, new)):
+            raise AssertionError(f"dp_backward: prefix step and two-row loop differ on {label}")
+        rows = sum(rows_multiplied(*args)[1])
+        name = f"{label} from t = {t_min:g}, {t_steps + 1} x {x_steps}"
+        print(f"{name:<38}{t_ref:>18.6f}{t_new:>13.6f}{t_ref / t_new:>10.2f}"
+              f"{rows / (t_steps * x_steps):>17.3f}")
 
 
 def monte_carlo(paths=5000, n_steps=2000, t_min=-1.0):

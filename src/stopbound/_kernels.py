@@ -4,8 +4,10 @@ The solver and the envelope read ``residuals``, ``surrogate_objective`` and
 ``sweep``; the oracle reads ``dp_backward`` and ``mc_first_crossing``.
 Callers look every kernel up as an attribute of this module, so a profiler
 can wrap it in one place.  ``dp_backward`` loops over time slices, each
-step one sparse matvec (a stencil with no stored zeros) and three row
-passes; ``mc_first_crossing`` walks antithetic pairs of paths over a
+step one sparse matvec (a stencil with no stored zeros) and four passes
+over only the rows that can continue, a row prefix: the rows above it lie
+deep in the stopping region, where the value is the payoff bit for bit;
+``mc_first_crossing`` walks antithetic pairs of paths over a
 time-major chunk of normals, which the caller sizes and draws for the pairs
 still running: one row add per step and member, then one comparison over
 the chunk.
@@ -40,6 +42,12 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Finite, ordered stand-in for the +inf penalty sentinel so that descent can
 # escape regions where the penalty pole 1 + c^2 R <= 0 is crossed.
 _SENTINEL = 1e12
+# dp_backward: relative margin of the test that proves a stencil row's float
+# product below the float payoff (the rounding it covers is about 1e-15),
+# and the stencil reaches of spare rows the multiplied prefix grows by, so a
+# slowly moving boundary slices the stencil a few times per lattice.
+_CLEAR_TOL = 1e-12
+_PREFIX_SLACK = 4
 
 
 def residuals(lap, W, gam, dvals):
@@ -157,16 +165,19 @@ def expectation_stencil(xs, shifts, weights):
     return A
 
 
-def boundary_slice(v, pay, xs):
+def boundary_slice(v, pay, xs, cont):
     """Exercise boundary of one time slice with values ``v`` and payoff ``pay``.
 
-    The continuation region (``v > pay``) is the connected component on the
-    low side; the boundary is its first continue-to-stop transition.  A slice
-    with no continuation maps to ``xs[0]``, one with no transition to
-    ``xs[-1]``.  Boolean ``argmax``/``argmin`` stop at the first hit, so the
-    scan reads the slice once from the low side and forms no gap array.
+    The continuation region (``cont``, the caller's ``v > pay``) is the
+    connected component on the low side; the boundary is its first
+    continue-to-stop transition.  A slice with no continuation maps to
+    ``xs[0]``, one with no transition to ``xs[-1]``.  Boolean
+    ``argmax``/``argmin`` stop at the first hit, so the scan reads the slice
+    once from the low side and forms no gap array.  ``v`` and ``pay`` are
+    read only on the first continuation run, where the value and the
+    continuation value agree, so ``v`` may be either, and rows past the run
+    need not be set.
     """
-    cont = v > pay
     a = int(cont.argmax())
     if not cont[a]:
         return xs[0]
@@ -179,42 +190,102 @@ def boundary_slice(v, pay, xs):
     i = f - 1
     # The value-payoff gap vanishes smoothly at the boundary; locating the
     # zero of its square root is far less biased than the last
-    # strictly-positive cell.
+    # strictly-positive cell.  A run of one row has no gap below it to
+    # slope from.
     w1 = math.sqrt(v[i] - pay[i])
-    w0 = math.sqrt(v[i - 1] - pay[i - 1]) if i > 0 else w1
+    w0 = math.sqrt(v[i - 1] - pay[i - 1]) if i > a else w1
     if w0 > w1:
         return xs[i] + w1 / ((w0 - w1) / (xs[1] - xs[0]))
     return xs[i] + 0.5 * (xs[1] - xs[0])
 
 
 def dp_backward(disc, hx, xs, dt, gh_x, gh_w):
-    """Backward induction on a regular space-time grid, two rows at a time.
+    """Backward induction on a regular space-time grid, one value row in place.
 
-    ``disc`` holds the discount factor per time slice (the last is the
-    terminal slice), ``hx`` the raw payoff per spatial node ``xs``.  The
-    continuation value is the Gauss--Hermite expectation over one step of
-    length ``dt`` (abscissae ``gh_x``, weights ``gh_w``), one fixed
-    :func:`expectation_stencil` applied to the later slice.  Each slice's
+    ``disc`` holds the discount factor per time slice (at least two; the
+    last is the terminal slice), ``hx`` the raw payoff per spatial node
+    ``xs``.  The continuation value is the Gauss--Hermite expectation over
+    one step of length ``dt`` (abscissae ``gh_x``, weights ``gh_w``), one
+    fixed :func:`expectation_stencil` applied to the later slice, and the
+    value is the larger of it and the discounted payoff.  Each slice's
     boundary is read off by :func:`boundary_slice` as it is computed, so
-    only the current and the next value row are held.  A step is the
-    matvec and three row passes: the payoff into one preallocated row, the
-    maximum in place, and the comparison inside :func:`boundary_slice`.
+    only one value row is held.
+
+    Deep in the stopping region the value is the payoff, so each step
+    multiplies the stencil only over a row prefix ``[0, m)``; every row
+    from ``m`` up is set to the payoff, bit for bit what the full product
+    and maximum give for a finite payoff.  A row ``j`` may stay above the
+    prefix when
+
+    * its stencil reads no continuation node (``v > pay``) of the later
+      slice, so every value it reads is the float payoff
+      ``disc[k+1] * hx``, and
+    * a one-time test per lattice clears it:
+      ``q * (A @ hx)_j + tol * (A @ |hx|)_j < hx_j - tol * |hx_j|`` for the
+      largest and the smallest ratio ``q = disc[k+1] / disc[k]`` (the
+      stencil's entries are positive), with ``tol`` = ``_CLEAR_TOL``
+      (1e-12).  The float product over at most ten payoff terms differs
+      from ``disc[k+1] * (A @ hx)_j`` by at most about twelve unit
+      roundoffs, 1.4e-15 times ``disc[k+1] * (A @ |hx|)_j``, and the
+      test's own rounding is of the same size, so ``tol`` proves the float
+      product strictly below the float payoff ``disc[k] * hx_j``, which
+      ``np.maximum`` then returns.
+
+    So ``m`` covers every row the test cannot clear and every row within
+    the stencil's reach of the highest continuation node.  The product uses
+    one row-sliced copy ``A[:m]``, which keeps CSR's accumulation order on
+    each row it multiplies, so every value and boundary bit equals the full
+    product's; it is sliced again, with ``_PREFIX_SLACK`` reaches to spare,
+    only when continuation comes within one reach of its edge.  A step is
+    the product and four passes over the prefix (the payoff in place, the
+    comparison, the maximum in place, and the boundary read) plus the
+    payoff on the ``reach`` rows above it that the next product reads;
+    ``v_first`` above those rows is filled with ``disc[0] * hx`` at the
+    end.
 
     Returns ``(v_first, v_terminal, boundary)``: the value slices at the
     first and the terminal time, and the per-slice boundary (not yet made
     monotone in time).
     """
     A = expectation_stencil(xs, math.sqrt(dt) * gh_x, gh_w)
-    n_t = disc.shape[0]
+    n_t, n_x = disc.shape[0], hx.shape[0]
+    # Every row holds an entry, so each reduces over its own columns.
+    rows, starts = np.arange(n_x), A.indptr[:-1]
+    reach = int(max((rows - np.minimum.reduceat(A.indices, starts)).max(),
+                    (np.maximum.reduceat(A.indices, starts) - rows).max()))
+    q = disc[1:] / disc[:-1]
+    Ahx = A @ hx
+    above = np.maximum(q.max() * Ahx, q.min() * Ahx) + _CLEAR_TOL * (A @ np.abs(hx))
+    uncleared = np.flatnonzero(~(above < hx - _CLEAR_TOL * np.abs(hx)))
     boundary = np.empty(n_t)
-    v_terminal = v = disc[-1] * hx
+    v_terminal = disc[-1] * hx
     boundary[-1] = xs[0]  # the value equals the payoff at the terminal time
-    pay = np.empty_like(hx)
+    v = v_terminal.copy()
+    cont = np.zeros(n_x, dtype=bool)
+    # The first m rows are multiplied (-1 before the first step) and the
+    # first w = m + reach rows of v kept current; the first `need` rows
+    # must be multiplied.
+    m, w = -1, 0
+    need = int(uncleared[-1]) + 1 if uncleared.size else 0
     for k in range(n_t - 2, -1, -1):
-        np.multiply(disc[k], hx, out=pay)
-        v = A @ v
-        np.maximum(pay, v, out=v)
-        boundary[k] = boundary_slice(v, pay, xs)
+        if need > m:
+            # v holds slice k + 1, the payoff from row m up: extend the
+            # rows kept current to those the wider product reads.
+            m = min(n_x, need + _PREFIX_SLACK * reach)
+            w, w_old = min(n_x, m + reach), w
+            np.multiply(disc[k + 1], hx[w_old:w], out=v[w_old:w])
+            A_m = A[:m]
+            hx_w, v_w, v_m, cont_m = hx[:w], v[:w], v[:m], cont[:m]
+            edge = cont[max(0, m - reach):m] if m < n_x else cont[:0]
+        c = A_m @ v
+        np.multiply(disc[k], hx_w, out=v_w)
+        np.greater(c, v_m, out=cont_m)
+        boundary[k] = boundary_slice(c, v, xs, cont)
+        np.maximum(v_m, c, out=v_m)
+        if edge.any():
+            # rows up to the highest continuation node plus one reach
+            need = m + reach - int(edge[::-1].argmax())
+    np.multiply(disc[0], hx[w:], out=v[w:])
     return v, v_terminal, boundary
 
 

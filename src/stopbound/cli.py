@@ -57,7 +57,6 @@ def _add_shared(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out-dir", default=".", help="directory for CSV outputs")
     sp.add_argument("--nodes", type=int, default=60, help="spatial node count N")
     sp.add_argument("--cvals", type=int, default=40, help="kernel parameter count M")
-    sp.add_argument("--t-min", type=float, default=-10.0, help="lattice horizon (negative)")
     sp.add_argument("--tolerance", type=float, default=None,
                     help="override the solver coordinate tolerance")
     sp.add_argument("--config", help="key=value file of defaults (command line wins)")
@@ -93,6 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed-mode", choices=("asymptotic", "envelope_midpoint"),
                             default="asymptotic")
         if name in ("verify", "oracle"):
+            sp.add_argument("--t-min", type=float, default=-10.0,
+                            help="lattice horizon (negative)")
             sp.add_argument("--t-steps", type=int, default=2000)
             sp.add_argument("--x-steps", type=int, default=2000)
         if name == "residuals":

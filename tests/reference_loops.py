@@ -5,10 +5,12 @@ lockstep prefix-sum steps must reproduce it bit for bit.  The adaptive
 weights take one quadrature per segment and parameter; the Gauss--Legendre
 rule must match them to 1e-12 relative on smooth integrands.  The lattice
 interpolates every Gauss--Hermite point with ``np.interp`` on each step and
-stores the whole ``(n_t, n_x)`` value array; the sparse stencil with two
-rolling rows must match its values and boundary to round-off.  That
-two-row loop stored the stencil's zeros and formed the value-payoff gap of
-every slice; the three-pass step must reproduce it bit for bit.  Monte Carlo
+stores the whole ``(n_t, n_x)`` value array; the sparse stencil lattice
+must match its values and boundary to round-off.  That
+two-row loop stored the stencil's zeros, multiplied every row and formed
+the value-payoff gap of every slice; the step that multiplies only a row
+prefix must reproduce it bit for bit, and ``rows_multiplied`` counts that
+prefix.  Monte Carlo
 walks each member of every running antithetic pair one step at a time over
 each time-major chunk of normals, the second member over their negation;
 the kernel's row adds must reproduce its estimates bit for bit.  The
@@ -193,6 +195,40 @@ def reference_two_row_dp_backward(disc, hx, xs, dt, gh_x, gh_w):
         v = np.maximum(pay, A @ v)
         boundary[k] = reference_boundary_slice(v - pay, xs)
     return v, v_terminal, boundary
+
+
+class _StencilRows:
+    """A stencil whose row slices append their row count to ``log`` at each product."""
+
+    def __init__(self, A, log, sliced=False):
+        self.A, self.log, self.sliced = A, log, sliced
+
+    def __getattr__(self, name):
+        return getattr(self.A, name)
+
+    def __getitem__(self, key):
+        return _StencilRows(self.A[key], self.log, sliced=True)
+
+    def __matmul__(self, v):
+        if self.sliced:
+            self.log.append(self.A.shape[0])
+        return self.A @ v
+
+
+def rows_multiplied(disc, hx, xs, dt, gh_x, gh_w):
+    """``_kernels.dp_backward``'s returns and the stencil rows it multiplies, one count a step.
+
+    Products by the whole stencil (the one-time test per lattice) are not
+    counted.
+    """
+    log = []
+    stencil = _kernels.expectation_stencil
+    _kernels.expectation_stencil = lambda *args: _StencilRows(stencil(*args), log)
+    try:
+        out = _kernels.dp_backward(disc, hx, xs, dt, gh_x, gh_w)
+    finally:
+        _kernels.expectation_stencil = stencil
+    return out, log
 
 
 def monotone_loop(b):

@@ -255,6 +255,25 @@ class TestConfigAndManifest:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
         assert (second / "manifest.txt").read_text() == manifest.replace(str(first), str(second))
 
+    def test_t_min_only_where_a_lattice_runs(self, tmp_path, capsys):
+        for command in ("solve", "bounds", "residuals", "constants"):
+            rc = cli.main([command, "--problem", "linear", "--t-min", "-3",
+                           "--out-dir", str(tmp_path)])
+            assert rc == cli.EXIT_USAGE, command
+
+    def test_old_manifest_with_t_min_replays(self, tmp_path, capsys):
+        # Solve manifests once named t_min; the key is skipped on replay.
+        first, second = tmp_path / "a", tmp_path / "b"
+        argv = ["solve", "--problem", "linear", "--nodes", "12", "--cvals", "8"]
+        assert cli.main(argv + ["--out-dir", str(first)]) == cli.EXIT_OK
+        manifest = (first / "manifest.txt").read_text()
+        assert "\nt_min=" not in manifest
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(manifest + "t_min=-10.0\n")
+        assert cli.main(["solve", "--config", str(cfg), "--out-dir", str(second)]) == cli.EXIT_OK
+        for name in ("boundary.csv", "trace.csv", "residuals.csv", "plot.dat"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
     def test_bad_config_value_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("problem = linear\ntolerance = tight\n")

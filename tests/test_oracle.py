@@ -21,6 +21,7 @@ from reference_loops import (
     reference_one_shot_mc_value,
     reference_stencil,
     reference_two_row_dp_backward,
+    rows_multiplied,
 )
 
 
@@ -74,7 +75,7 @@ def _lattice_inputs(p, ts, xs):
 
 
 class TestStencilLattice:
-    """The sparse stencil with two rolling rows against the ``np.interp`` loop."""
+    """The sparse stencil lattice against the ``np.interp`` loop."""
 
     @pytest.mark.parametrize("label", ["linear", "put"])
     @pytest.mark.parametrize("t_steps, x_steps", [(40, 64), (200, 300)])
@@ -161,7 +162,7 @@ class TestStencilLattice:
         pay = rng.uniform(0.0, 1.0, 8)
         # the value is the payoff plus a positive gap where it continues
         v = pay + np.where(np.array(cont, dtype=bool), rng.uniform(0.01, 0.5, 8), 0.0)
-        b = _kernels.boundary_slice(v, pay, xs)
+        b = _kernels.boundary_slice(v, pay, xs, v > pay)
         assert b == reference_boundary_slice(v - pay, xs)
         assert b == reference_extract_boundary(np.ones(1), pay, v[None, :], xs)[0]
 
@@ -200,6 +201,87 @@ class TestStencilLattice:
         ref = oracle.refined_boundary(linear, -2.0, 100, 100)
         b_fine = np.interp(coarse.t_values, fine.t_values, fine.boundary)
         assert np.array_equal(ref.boundary, monotone_loop(2.0 * b_fine - coarse.boundary))
+
+
+def _equal_to_two_row_loop(args):
+    new, log = rows_multiplied(*args)
+    ref = reference_two_row_dp_backward(*args)
+    for a, b in zip(new, ref):
+        assert np.array_equal(a, b)
+    assert len(log) == args[0].shape[0] - 1
+    return new, log
+
+
+def _default_lattice(p, t_min, t_steps, x_steps):
+    ts = np.linspace(t_min, 0.0, t_steps + 1)
+    xs = np.linspace(*oracle.default_x_bounds(p, t_min), x_steps)
+    disc, hx, dt, gh_x, gh_w = _lattice_inputs(p, ts, xs)
+    return disc, hx, xs, dt, gh_x, gh_w
+
+
+class TestPrefixStep:
+    """Only a row prefix is multiplied; every value and boundary bit is the full product's."""
+
+    def test_put_whose_low_side_stops(self, monkeypatch):
+        # Early in the induction the put's continuation run starts well
+        # above row 0: the prefix holds a stopped low side as well.
+        starts = []
+        read = _kernels.boundary_slice
+
+        def recorded(v, pay, xs, cont):
+            starts.append(int(cont.argmax()))
+            return read(v, pay, xs, cont)
+
+        monkeypatch.setattr(_kernels, "boundary_slice", recorded)
+        args = _default_lattice(american_put(1.0, 0.5), -4.0, 400, 600)
+        new, log = _equal_to_two_row_loop(args)
+        assert max(starts) > 200
+        assert len(np.unique(new[2])) > 300
+
+    def test_stadje_without_discounting(self):
+        # r = 0: no discounting separates a row's product from its payoff,
+        # only the stencil's curvature term, which is zero where the payoff
+        # is linear.  The reflected upper edge lifts the expectation of this
+        # decreasing payoff above it, so the test cannot clear the top rows
+        # and every row stays in the prefix.
+        args = _default_lattice(builtin("stadje"), -1.0, 200, 400)
+        assert np.all(args[0] == 1.0)
+        new, log = _equal_to_two_row_loop(args)
+        assert set(log) == {400}
+        assert len(np.unique(new[2])) > 100
+
+    def test_prefix_grows_mid_induction(self, monkeypatch):
+        # With no spare rows the prefix is sliced again whenever continuation
+        # comes within one stencil reach of its edge.
+        monkeypatch.setattr(_kernels, "_PREFIX_SLACK", 0)
+        args = _default_lattice(builtin("linear"), -2.0, 400, 400)
+        new, log = _equal_to_two_row_loop(args)
+        assert len(set(log)) > 10
+        assert np.all(np.diff(log) >= 0)
+
+    def test_payoff_cleared_nowhere(self):
+        # One step that grows by half makes the largest discount ratio about
+        # 1.5, so the one-time test clears no row and every row is
+        # multiplied; the other steps still stop on the upper side.
+        p = builtin("linear")
+        ts = np.linspace(-2.0, 0.0, 201)
+        disc = np.exp(-p.r * ts)
+        disc[:100] /= 1.5
+        xs = np.linspace(*oracle.default_x_bounds(p, -2.0), 300)
+        hx = np.array([p.h(x) for x in xs])
+        gh_x, gh_w = oracle._gauss_hermite()
+        new, log = _equal_to_two_row_loop((disc, hx, xs, ts[1] - ts[0], gh_x, gh_w))
+        assert set(log) == {xs.size}
+        assert len(np.unique(new[2])) > 100
+
+    @pytest.mark.parametrize("label, t_min, x_steps", [("linear", -10.0, 400),
+                                                       ("put", -4.0, 600)])
+    def test_rows_multiplied_below_x_steps(self, label, t_min, x_steps):
+        p = builtin("linear") if label == "linear" else american_put(1.0, 0.5)
+        _, log = rows_multiplied(*_default_lattice(p, t_min, 400, x_steps))
+        assert len(log) == 400
+        assert max(log) < x_steps
+        assert sum(log) < 0.7 * 400 * x_steps
 
 
 class TestRefinedBoundary:
