@@ -26,16 +26,23 @@ its float product below the float payoff; so it is the payoff, and every
 value and boundary bit equals the full product's.  Monte Carlo simulates
 antithetic pairs of paths, driven by ``z`` and ``-z``, and takes its
 standard error over the pairs, which are the independent samples; so
-``paths`` must be even.  It advances all pairs together in chunks of time
-steps and draws normals only for the pairs still running, so its memory is
-one chunk, not ``paths`` rows.
+``paths`` must be even.  It advances the pairs in chunks of time steps and
+draws normals only for the pairs still running, so its memory is one chunk,
+not ``paths`` rows.  The pairs are split into two contiguous blocks, each
+drawn from its own generator spawned from the seed and run on a thread of
+its own (both on the caller when the process may use only one CPU): NumPy
+releases the interpreter lock while it draws normals, which is most of the
+cost.  The split is fixed, so a seed gives the same bits on any machine.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,10 +64,15 @@ __all__ = [
 ]
 
 
-# Float values per Monte Carlo chunk (8 MB), at least one time step for every
-# path: half hold the normals of the running pairs, half the positions of
-# their second members.
+# Float values per Monte Carlo chunk over all streams (8 MB), at least one
+# time step for every path: half hold the normals of the running pairs, half
+# the positions of their second members.
 _MC_BLOCK_VALUES = 2**20
+
+# Independent random streams the Monte Carlo pairs are split over, one a
+# thread.  Fixed, not the CPU count, so that the estimate for a seed is the
+# same on every machine.
+_MC_STREAMS = 2
 
 
 class ResolutionError(ValueError):
@@ -249,6 +261,89 @@ def d_intervals(
     return d_lo, d_hi, truncated
 
 
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_threads(calls: List[Callable[[], object]]) -> list:
+    """Return values of the argument-free ``calls``, in order.
+
+    The first call runs on the caller's thread and each other one on a
+    thread of its own, except when the process may use only one CPU: then
+    they all run on the caller, one after the other.  Every thread is joined
+    before this returns or raises, and an exception raised on a thread is
+    raised again here.
+    """
+    if _usable_cpus() < 2:
+        return [call() for call in calls]
+    out: list = [None] * len(calls)
+
+    def run(i: int) -> None:
+        try:
+            out[i] = calls[i]()
+        except BaseException as exc:  # raised again on the caller's thread
+            out[i] = exc
+
+    workers = [threading.Thread(target=run, args=(i,), name=f"stopbound-mc-{i}")
+               for i in range(1, len(calls))]
+    for worker in workers:
+        worker.start()
+    try:
+        out[0] = calls[0]()
+    finally:
+        for worker in workers:
+            worker.join()
+    for result in out:
+        if isinstance(result, BaseException):
+            raise result
+    return out
+
+
+def _mc_stream(
+    rng: np.random.Generator,
+    pairs: int,
+    x0: float,
+    b_path: np.ndarray,
+    n_steps: int,
+    dt: float,
+    width: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Stopping steps and positions of ``pairs`` antithetic pairs drawn from ``rng``.
+
+    Walks the pairs in chunks of ``width`` time steps through one buffer
+    sized for these pairs.  Returns ``(stop_step, stop_x)``, each of shape
+    ``(2, pairs)``: row 0 is the member driven by ``+z``, row 1 the one
+    driven by ``-z``.
+    """
+    buf = np.empty(2 * pairs * width)
+    stop_step = np.zeros((2, pairs), dtype=np.int64)
+    stop_x = np.full((2, pairs), float(x0))
+    # A start at or past the boundary stops at step 0: no pair runs.
+    live = np.arange(pairs if x0 < b_path[0] else 0)
+    x = stop_x[:, live]
+    for k in range(0, n_steps, width):
+        if not live.size:
+            break
+        w = min(width, n_steps - k)
+        walks = buf[:2 * w * live.size].reshape(2, w, live.size)
+        rng.standard_normal(out=walks[0])
+        col, x = _kernels.mc_first_crossing(x, dt, walks, b_path[k + 1:k + 1 + w])
+        member, pair = np.nonzero(col < w)
+        stop_step[member, live[pair]] = k + 1 + col[member, pair]
+        stop_x[member, live[pair]] = x[member, pair]
+        # A stopped member rides along at -inf, where it never crosses.
+        x[member, pair] = -np.inf
+        running = np.any(x > -np.inf, axis=0)
+        live, x = live[running], x[:, running]
+    member, pair = np.nonzero(x > -np.inf)
+    stop_step[member, live[pair]] = n_steps
+    stop_x[member, live[pair]] = x[member, pair]
+    return stop_step, stop_x
+
+
 def mc_value(
     p: Problem,
     t0: float,
@@ -274,18 +369,28 @@ def mc_value(
     the sample standard deviation of the pair means over
     ``sqrt(paths // 2)``.
 
-    The simulation advances in chunks of ``max(1, _MC_BLOCK_VALUES //
-    paths)`` time steps (the last may be shorter) over the pairs still
-    running, a pair running while either member does.  Each chunk draws one
-    time-major ``(steps, running pairs)`` block of normals into a
-    preallocated buffer that also holds the second member's positions, so
-    a pair whose members have both stopped draws nothing more, a start
-    already in the stopping region draws nothing at all, and memory is one
-    chunk of about :data:`_MC_BLOCK_VALUES` values whatever ``paths`` and
-    ``n_steps`` are.  Which normal drives which step depends on the chunk
-    width, so the estimate does too (within its standard error); for a
-    fixed seed and path count it is bit-for-bit reproducible.  Returns
-    ``(estimate, standard_error)``.
+    The pairs are split into :data:`_MC_STREAMS` (two) contiguous blocks,
+    ``pairs // 2`` and the rest.  Each block is a stream with its own
+    generator, spawned from ``np.random.SeedSequence(rng_seed)``, and its
+    own buffer.  The first stream runs on the caller's thread and the
+    second on a worker thread, which the caller joins; an exception the
+    worker raises is raised again here.  When the process may use only one
+    CPU, both streams run on the caller, one after the other.  Either way
+    the results are the same bits: the estimate depends on the fixed stream
+    count, not on the machine's CPU count.
+
+    Each stream advances in chunks of ``max(1, _MC_BLOCK_VALUES // paths)``
+    time steps (the last may be shorter) over its pairs still running, a
+    pair running while either member does.  Each chunk draws one time-major
+    ``(steps, running pairs)`` block of normals into the stream's
+    preallocated buffer, which also holds the second member's positions,
+    so a pair whose members have both stopped draws nothing more, a start
+    already in the stopping region draws nothing at all, and memory is
+    about :data:`_MC_BLOCK_VALUES` values over both streams together,
+    whatever ``paths`` and ``n_steps`` are.  Which normal drives which step
+    depends on the chunk width, so the estimate does too (within its
+    standard error); for a fixed seed and path count it is bit-for-bit
+    reproducible.  Returns ``(estimate, standard_error)``.
     """
     if p.h is None:
         raise ValueError(f"problem {p.label!r} carries no payoff to simulate")
@@ -302,33 +407,14 @@ def mc_value(
     b_path = np.interp(ts, boundary.values[::-1], boundary.nodes[::-1],
                        left=boundary.nodes[-1], right=0.0)
     b_path = np.maximum(b_path - 0.5826 * math.sqrt(dt), 0.0)
-    rng = np.random.default_rng(rng_seed)
     pairs = paths // 2
     width = max(1, _MC_BLOCK_VALUES // paths)
-    buf = np.empty(paths * width)
-    # Row 0 is the member driven by +z, row 1 the one driven by -z.
-    stop_step = np.zeros((2, pairs), dtype=np.int64)
-    stop_x = np.full((2, pairs), float(x0))
-    # A start at or past the boundary stops at step 0: no pair runs.
-    live = np.arange(pairs if x0 < b_path[0] else 0)
-    x = stop_x[:, live]
-    for k in range(0, n_steps, width):
-        if not live.size:
-            break
-        w = min(width, n_steps - k)
-        walks = buf[:2 * w * live.size].reshape(2, w, live.size)
-        rng.standard_normal(out=walks[0])
-        col, x = _kernels.mc_first_crossing(x, dt, walks, b_path[k + 1:k + 1 + w])
-        member, pair = np.nonzero(col < w)
-        stop_step[member, live[pair]] = k + 1 + col[member, pair]
-        stop_x[member, live[pair]] = x[member, pair]
-        # A stopped member rides along at -inf, where it never crosses.
-        x[member, pair] = -np.inf
-        running = np.any(x > -np.inf, axis=0)
-        live, x = live[running], x[:, running]
-    member, pair = np.nonzero(x > -np.inf)
-    stop_step[member, live[pair]] = n_steps
-    stop_x[member, live[pair]] = x[member, pair]
+    edges = [pairs * i // _MC_STREAMS for i in range(_MC_STREAMS + 1)]
+    seeds = np.random.SeedSequence(rng_seed).spawn(_MC_STREAMS)
+    streams = [functools.partial(_mc_stream, np.random.default_rng(seed), hi - lo, x0,
+                                 b_path, n_steps, dt, width)
+               for seed, lo, hi in zip(seeds, edges, edges[1:])]
+    stop_step, stop_x = (np.concatenate(a, axis=1) for a in zip(*_in_threads(streams)))
     t_stop = t0 + stop_step * dt
     h_stop = np.array([p.h(x) for x in stop_x.ravel()]).reshape(2, pairs)
     payoff = np.exp(-p.r * t_stop) * h_stop

@@ -12,10 +12,11 @@ the value-payoff gap of every slice; the step that multiplies only a row
 prefix must reproduce it bit for bit, and ``rows_multiplied`` counts that
 prefix.  Monte Carlo
 walks each member of every running antithetic pair one step at a time over
-each time-major chunk of normals, the second member over their negation;
-the kernel's row adds must reproduce its estimates bit for bit.  The
-whole-path draw is kept as well: a single chunk spanning every step must
-reproduce it.  The tests check these agreements and
+each time-major chunk of normals, the second member over their negation,
+in each of two streams: contiguous blocks of the pairs, each drawn from its
+own generator spawned from the seed.  The kernel's row adds must reproduce
+its estimates bit for bit.  The whole-path draw of each stream is kept as
+well: a single chunk spanning every step must reproduce it.  The tests check these agreements and
 ``benchmarks/bench_kernels.py`` times against these loops.
 """
 
@@ -279,46 +280,71 @@ def _mc_estimate(p, t0, dt, stop_step, stop_x):
     return float(payoff.mean()), float(payoff.mean(axis=0).std(ddof=1) / math.sqrt(pairs))
 
 
+def _mc_streams(paths, rng_seed):
+    """``(generator, pairs)`` of each stream: the first ``paths // 4`` pairs, then the rest.
+
+    Each stream draws from its own generator, spawned from the seed.
+    """
+    pairs = paths // 2
+    seeds = np.random.SeedSequence(rng_seed).spawn(2)
+    return zip((np.random.default_rng(s) for s in seeds), (pairs // 2, pairs - pairs // 2))
+
+
+def _two_stream_estimate(p, t0, x0, boundary, paths, rng_seed, n_steps, stream):
+    """Estimate over the pairs of both streams, each walked by ``stream(rng, pairs, ...)``."""
+    dt, b_path = _mc_b_path(t0, boundary, n_steps)
+    blocks = [stream(rng, pairs, float(x0), dt, b_path, n_steps)
+              for rng, pairs in _mc_streams(paths, rng_seed)]
+    stop_step, stop_x = (np.concatenate(a, axis=1) for a in zip(*blocks))
+    return _mc_estimate(p, t0, dt, stop_step, stop_x)
+
+
+def _one_shot_stream(rng, pairs, x0, dt, b_path, n_steps):
+    normals = rng.standard_normal((n_steps, pairs))
+    members = [reference_mc_first_crossing(x0, n_steps, dt, sign * normals.T, b_path)
+               for sign in (1.0, -1.0)]
+    return tuple(np.stack(a) for a in zip(*members))
+
+
 def reference_one_shot_mc_value(p, t0, x0, boundary, paths, rng_seed, n_steps=2000):
-    """One time-major ``(n_steps, paths // 2)`` draw; each member walked by the step loop.
+    """One time-major ``(n_steps, pairs)`` draw per stream; each member walked by the step loop.
 
     The first member of every pair is driven by the normals, the second by
     their negation.
     """
-    dt, b_path = _mc_b_path(t0, boundary, n_steps)
-    normals = np.random.default_rng(rng_seed).standard_normal((n_steps, paths // 2))
-    members = [reference_mc_first_crossing(float(x0), n_steps, dt, sign * normals.T, b_path)
-               for sign in (1.0, -1.0)]
-    stop_step, stop_x = (np.stack(a) for a in zip(*members))
-    return _mc_estimate(p, t0, dt, stop_step, stop_x)
+    return _two_stream_estimate(p, t0, x0, boundary, paths, rng_seed, n_steps,
+                                _one_shot_stream)
 
 
 def reference_mc_value(p, t0, x0, boundary, paths, rng_seed, n_steps=2000, width=None):
     """``oracle.mc_value`` by its paired chunk schedule, each member walked by the step loop.
 
-    Each chunk of ``width`` steps (by default the oracle's) draws a fresh
-    time-major ``(steps, running pairs)`` array of normals, in pair order.
-    The first member of a pair is driven by the normals, the second by
-    their negation.  A member runs on while it ends the chunk below the
-    boundary, and a pair while either member runs.
+    In each stream, each chunk of ``width`` steps (by default the oracle's)
+    draws a fresh time-major ``(steps, running pairs)`` array of normals, in
+    pair order.  The first member of a pair is driven by the normals, the
+    second by their negation.  A member runs on while it ends the chunk
+    below the boundary, and a pair while either member runs.
     """
     if width is None:
         width = max(1, oracle._MC_BLOCK_VALUES // paths)
-    dt, b_path = _mc_b_path(t0, boundary, n_steps)
-    rng = np.random.default_rng(rng_seed)
-    stop_step = np.zeros((2, paths // 2), dtype=np.int64)
-    stop_x = np.full((2, paths // 2), float(x0))
-    running = stop_x < b_path[0]
-    for k in range(0, n_steps, width):
-        live = np.flatnonzero(running.any(axis=0))
-        w = min(width, n_steps - k)
-        normals = rng.standard_normal((w, live.size))
-        for m, sign in enumerate((1.0, -1.0)):
-            own = running[m, live]
-            idx = live[own]
-            s, x = reference_mc_first_crossing(stop_x[m, idx], w, dt, sign * normals[:, own].T,
-                                               b_path[k:k + w + 1])
-            stop_step[m, idx] = k + s
-            stop_x[m, idx] = x
-            running[m, idx] = x < b_path[k + s]
-    return _mc_estimate(p, t0, dt, stop_step, stop_x)
+
+    def chunked_stream(rng, pairs, x0, dt, b_path, n_steps):
+        stop_step = np.zeros((2, pairs), dtype=np.int64)
+        stop_x = np.full((2, pairs), x0)
+        running = stop_x < b_path[0]
+        for k in range(0, n_steps, width):
+            live = np.flatnonzero(running.any(axis=0))
+            w = min(width, n_steps - k)
+            normals = rng.standard_normal((w, live.size))
+            for m, sign in enumerate((1.0, -1.0)):
+                own = running[m, live]
+                idx = live[own]
+                s, x = reference_mc_first_crossing(stop_x[m, idx], w, dt,
+                                                   sign * normals[:, own].T,
+                                                   b_path[k:k + w + 1])
+                stop_step[m, idx] = k + s
+                stop_x[m, idx] = x
+                running[m, idx] = x < b_path[k + s]
+        return stop_step, stop_x
+
+    return _two_stream_estimate(p, t0, x0, boundary, paths, rng_seed, n_steps, chunked_stream)

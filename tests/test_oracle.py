@@ -1,6 +1,7 @@
 """Lattice reference boundaries and Monte Carlo valuation."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -410,9 +411,10 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("x0", [-0.5, 0.0, 0.3, 0.9])
     def test_matches_one_shot_reference(self, monkeypatch, linear, x0):
-        # One chunk spanning every step draws the whole (n_steps, pairs)
-        # array at once, so it is the one-shot draw.  0.9 starts past the
-        # boundary.
+        # One chunk spanning every step draws each stream's whole
+        # (n_steps, pairs) array at once, so it is the one-shot draw.  0.9
+        # starts past the boundary.  4098 paths split into 1024 and 1025
+        # pairs.
         monkeypatch.setattr(oracle, "_MC_BLOCK_VALUES", 4098 * 400)
         b = self._boundary(linear)
         args = (linear, -1.0, x0, b, 4098, 11)
@@ -421,8 +423,11 @@ class TestMonteCarlo:
 
     @staticmethod
     def _counted(monkeypatch):
-        """Record the shape of every chunk's walks and every normal drawn."""
-        shapes, drawn = [], []
+        """Record the shape of every chunk's walks, and of every draw by stream.
+
+        Streams are keyed by the spawn key of their generator's seed.
+        """
+        shapes, draws = [], {}
         kernel, default_rng = _kernels.mc_first_crossing, np.random.default_rng
 
         def counted(x, dt, walks, b):
@@ -432,51 +437,91 @@ class TestMonteCarlo:
         class CountingRng:
             def __init__(self, seed):
                 self.rng = default_rng(seed)
+                self.drawn = draws.setdefault(seed.spawn_key, [])
 
             def standard_normal(self, *args, **kwargs):
                 out = self.rng.standard_normal(*args, **kwargs)
-                drawn.append(out.size)
+                self.drawn.append(out.shape)
                 return out
 
         monkeypatch.setattr(_kernels, "mc_first_crossing", counted)
         monkeypatch.setattr(oracle.np.random, "default_rng", CountingRng)
-        return shapes, drawn
+        return shapes, draws
 
     @pytest.mark.parametrize("width", [1, 3, 52])
     def test_chunk_widths_match(self, monkeypatch, linear, width):
         # 110 steps end on a short chunk at widths 3 and 52.  Some paths run
-        # to time 0, so every chunk is drawn, except from 0.3 on the put,
-        # which starts past its boundary.
+        # to time 0, so every chunk of each stream is drawn, except from 0.3
+        # on the put, which starts past its boundary.
         p = american_put(1.0, 0.5)
         rule, _ = oracle.extract_d(oracle.backward_induction(p, -1.0, None, 200, 200),
                                    np.linspace(0.0, p.b_inf, 40))
         schedule = [width] * (110 // width) + [110 % width] * (110 % width > 0)
         monkeypatch.setattr(oracle, "_MC_BLOCK_VALUES", 1000 * width + 999)
-        shapes, _ = self._counted(monkeypatch)
+        shapes, draws = self._counted(monkeypatch)
         for prob, b in ((p, rule), (linear, self._boundary(linear))):
             for x0 in (-0.5, 0.0, 0.3):
                 args = (prob, -1.0, x0, b, 1000, 3)
                 ref = reference_mc_value(*args, n_steps=110, width=width)
                 shapes.clear()
+                draws.clear()
                 assert oracle.mc_value(*args, n_steps=110) == ref
                 stops_at_once = prob is p and x0 == 0.3
-                assert [w for _, w, _ in shapes] == ([] if stops_at_once else schedule)
+                assert sorted(draws) == [(0,), (1,)]
+                for drawn in draws.values():
+                    assert [w for w, _ in drawn] == ([] if stops_at_once else schedule)
+                assert sorted(shapes) == sorted((2,) + d for v in draws.values() for d in v)
 
     def test_draws_only_for_running_paths(self, monkeypatch, linear):
-        # Chunks of 20 steps: 20 chunks, each drawn only for the pairs left.
+        # Chunks of 20 steps, each drawn only for the pairs left in its
+        # stream; each stream starts with 500 of the 1000 pairs.
         monkeypatch.setattr(oracle, "_MC_BLOCK_VALUES", 2000 * 20)
-        shapes, drawn = self._counted(monkeypatch)
+        shapes, draws = self._counted(monkeypatch)
         oracle.mc_value(linear, -1.0, 0.0, self._boundary(linear), 2000, 8, n_steps=400)
-        rows = [r for _, _, r in shapes]
-        assert rows[0] == 1000 and rows == sorted(rows, reverse=True) and rows[-1] < 1000
-        assert sum(drawn) == sum(r * w for _, w, r in shapes) < 1000 * 400
+        assert sorted(draws) == [(0,), (1,)]
+        for drawn in draws.values():
+            rows = [r for _, r in drawn]
+            assert rows[0] == 500 and rows == sorted(rows, reverse=True) and rows[-1] < 500
+        assert sorted(shapes) == sorted((2,) + d for v in draws.values() for d in v)
+        assert sum(w * r for _, w, r in shapes) < 1000 * 400
 
     def test_stop_at_once_draws_nothing(self, monkeypatch, linear):
-        shapes, drawn = self._counted(monkeypatch)
+        shapes, draws = self._counted(monkeypatch)
         est, se = oracle.mc_value(linear, -1.0, 0.9, self._boundary(linear), 2000, 8)
-        assert shapes == [] and sum(drawn) == 0
+        assert shapes == [] and all(v == [] for v in draws.values())
         assert est == pytest.approx(math.exp(linear.r) * linear.h(0.9), abs=1e-12)
         assert se <= 1e-12
+
+    @pytest.mark.parametrize("paths", [2000, 2002])
+    def test_one_cpu_matches_threads(self, monkeypatch, linear, paths):
+        # 2002 paths split the pairs unevenly, 500 and 501.
+        b = self._boundary(linear)
+        args = (linear, -1.0, 0.0, b, paths, 9)
+        threads = threading.active_count()
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+        two = oracle.mc_value(*args, n_steps=300)
+        assert threading.active_count() == threads
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
+        assert oracle.mc_value(*args, n_steps=300) == two
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_worker_error_reaches_caller(self, monkeypatch, linear, cpus):
+        # 2002 paths: the second stream alone walks a chunk of 501 pairs.
+        error = RuntimeError("second stream failed")
+        kernel = _kernels.mc_first_crossing
+
+        def failing(x, dt, walks, b):
+            if x.shape[1] == 501:
+                raise error
+            return kernel(x, dt, walks, b)
+
+        monkeypatch.setattr(_kernels, "mc_first_crossing", failing)
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            oracle.mc_value(linear, -1.0, 0.0, self._boundary(linear), 2002, 9, n_steps=300)
+        assert raised.value is error
+        assert threading.active_count() == threads
 
     def test_peak_memory_below_one_draw(self, linear):
         # One (20000, 2000) draw of normals is 320 MB.
