@@ -11,8 +11,8 @@ row and formed a value-payoff gap per slice, and the Monte Carlo loop that
 walks each member of every running antithetic pair one step at a time
 through the same chunks of normals, in the same two streams.  The envelope
 steps, the two-row lattice and the Monte Carlo estimates must match their
-reference exactly, the weights to 1e-12 relative, and the ``np.interp`` lattice values to
-1e-9.  The two-row comparison runs on each lattice that ``stopbound
+reference exactly, the weights to 1e-12 relative, and the ``np.interp``
+lattice values to 1e-9.  The two-row comparison runs on each lattice that ``stopbound
 oracle`` runs in the benchmark and prints the share of stencil rows the
 current step multiplies.  The pure-Python ``find_root`` must return SciPy's
 ``brentq`` bits on the library's own root finds.  The last row times ``import stopbound`` in fresh interpreters.
@@ -147,18 +147,13 @@ def lattice_step():
 
 
 def monte_carlo(paths=5000, n_steps=2000, t_min=-1.0):
-    """Time ``mc_value`` against its paired chunk schedule walked by the step loop.
-
-    ``mc_value`` is timed twice: with both streams on the caller's thread,
-    as when the process may use one CPU, and with the second on a thread of
-    its own.
-    """
+    """Time ``mc_value`` against its paired chunk schedule walked by the step loop."""
     p = builtin("linear")
     rule, _ = oracle.extract_d(oracle.backward_induction(p, t_min, None, n_steps, 500),
                                np.linspace(0.0, p.b_inf, 60))
     args = (p, t_min, 0.0, rule, paths, 0)
     drawn = []
-    kernel, usable_cpus = k.mc_first_crossing, oracle._usable_cpus
+    kernel = k.mc_first_crossing
 
     def counted(x, dt, walks, b):
         drawn.append(walks[0].size)
@@ -167,28 +162,18 @@ def monte_carlo(paths=5000, n_steps=2000, t_min=-1.0):
     t_ref, ref = _time(reference_mc_value, *args, n_steps=n_steps, repeat=1)
     k.mc_first_crossing = counted
     try:
-        new = oracle.mc_value(*args, n_steps=n_steps)
+        t_new, new = _time(oracle.mc_value, *args, n_steps=n_steps, repeat=1)
     finally:
         k.mc_first_crossing = kernel
-    timed = {}
-    try:
-        for cpus in (1, 2):
-            oracle._usable_cpus = lambda cpus=cpus: cpus
-            timed[cpus] = _time(oracle.mc_value, *args, n_steps=n_steps, repeat=3)
-    finally:
-        oracle._usable_cpus = usable_cpus
-    if not (new == ref == timed[1][1] == timed[2][1]):
+    if new != ref:
         raise AssertionError("mc_value: chunked kernel and step loop differ")
     width = max(1, oracle._MC_BLOCK_VALUES // paths)
     print(f"linear Monte Carlo from ({t_min:g}, 0), {paths // 2} antithetic pairs x"
-          f" {n_steps} steps in {oracle._MC_STREAMS} streams, chunks of {width} steps,"
-          f" estimates equal")
+          f" {n_steps} steps in 2 streams, chunks of {width} steps, estimates equal")
     print(f"normals drawn {sum(drawn):,} of paths x n_steps {paths * n_steps:,}"
           f" ({sum(drawn) / (paths * n_steps):.3f})")
     print(f"{'function':<22}{'step loop (s)':>15}{'current (s)':>13}{'speedup':>10}")
-    for cpus, name in ((1, "mc_value, 1 thread"), (2, "mc_value, 2 threads")):
-        t_new = timed[cpus][0]
-        print(f"{name:<22}{t_ref:>15.6f}{t_new:>13.6f}{t_ref / t_new:>10.1f}")
+    print(f"{'mc_value':<22}{t_ref:>15.6f}{t_new:>13.6f}{t_ref / t_new:>10.1f}")
 
 
 def _root_calls():

@@ -30,19 +30,17 @@ standard error over the pairs, which are the independent samples; so
 draws normals only for the pairs still running, so its memory is one chunk,
 not ``paths`` rows.  The pairs are split into two contiguous blocks, each
 drawn from its own generator spawned from the seed and run on a thread of
-its own (both on the caller when the process may use only one CPU): NumPy
-releases the interpreter lock while it draws normals, which is most of the
-cost.  The split is fixed, so a seed gives the same bits on any machine.
+its own: NumPy releases the interpreter lock while it draws normals, which
+is most of the cost.  The split is fixed, so a seed gives the same bits on
+any machine.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -64,15 +62,10 @@ __all__ = [
 ]
 
 
-# Float values per Monte Carlo chunk over all streams (8 MB), at least one
+# Float values per Monte Carlo chunk over both streams (8 MB), at least one
 # time step for every path: half hold the normals of the running pairs, half
 # the positions of their second members.
 _MC_BLOCK_VALUES = 2**20
-
-# Independent random streams the Monte Carlo pairs are split over, one a
-# thread.  Fixed, not the CPU count, so that the estimate for a seed is the
-# same on every machine.
-_MC_STREAMS = 2
 
 
 class ResolutionError(ValueError):
@@ -261,47 +254,6 @@ def d_intervals(
     return d_lo, d_hi, truncated
 
 
-def _usable_cpus() -> int:
-    """Number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _in_threads(calls: List[Callable[[], object]]) -> list:
-    """Return values of the argument-free ``calls``, in order.
-
-    The first call runs on the caller's thread and each other one on a
-    thread of its own, except when the process may use only one CPU: then
-    they all run on the caller, one after the other.  Every thread is joined
-    before this returns or raises, and an exception raised on a thread is
-    raised again here.
-    """
-    if _usable_cpus() < 2:
-        return [call() for call in calls]
-    out: list = [None] * len(calls)
-
-    def run(i: int) -> None:
-        try:
-            out[i] = calls[i]()
-        except BaseException as exc:  # raised again on the caller's thread
-            out[i] = exc
-
-    workers = [threading.Thread(target=run, args=(i,), name=f"stopbound-mc-{i}")
-               for i in range(1, len(calls))]
-    for worker in workers:
-        worker.start()
-    try:
-        out[0] = calls[0]()
-    finally:
-        for worker in workers:
-            worker.join()
-    for result in out:
-        if isinstance(result, BaseException):
-            raise result
-    return out
-
-
 def _mc_stream(
     rng: np.random.Generator,
     pairs: int,
@@ -369,15 +321,13 @@ def mc_value(
     the sample standard deviation of the pair means over
     ``sqrt(paths // 2)``.
 
-    The pairs are split into :data:`_MC_STREAMS` (two) contiguous blocks,
-    ``pairs // 2`` and the rest.  Each block is a stream with its own
-    generator, spawned from ``np.random.SeedSequence(rng_seed)``, and its
-    own buffer.  The first stream runs on the caller's thread and the
-    second on a worker thread, which the caller joins; an exception the
-    worker raises is raised again here.  When the process may use only one
-    CPU, both streams run on the caller, one after the other.  Either way
-    the results are the same bits: the estimate depends on the fixed stream
-    count, not on the machine's CPU count.
+    The pairs are split into two contiguous blocks, ``pairs // 2`` and the
+    rest.  Each block is a stream with its own generator, spawned from
+    ``np.random.SeedSequence(rng_seed)``, and its own buffer.  The first
+    stream runs on the caller's thread and the second on a worker thread,
+    which the caller joins before it returns or raises; an exception the
+    worker raises is raised again here.  The estimate depends on the fixed
+    split, not on the machine's CPU count or on how the threads interleave.
 
     Each stream advances in chunks of ``max(1, _MC_BLOCK_VALUES // paths)``
     time steps (the last may be shorter) over its pairs still running, a
@@ -409,12 +359,26 @@ def mc_value(
     b_path = np.maximum(b_path - 0.5826 * math.sqrt(dt), 0.0)
     pairs = paths // 2
     width = max(1, _MC_BLOCK_VALUES // paths)
-    edges = [pairs * i // _MC_STREAMS for i in range(_MC_STREAMS + 1)]
-    seeds = np.random.SeedSequence(rng_seed).spawn(_MC_STREAMS)
-    streams = [functools.partial(_mc_stream, np.random.default_rng(seed), hi - lo, x0,
-                                 b_path, n_steps, dt, width)
-               for seed, lo, hi in zip(seeds, edges, edges[1:])]
-    stop_step, stop_x = (np.concatenate(a, axis=1) for a in zip(*_in_threads(streams)))
+    half = pairs // 2
+    rng0, rng1 = (np.random.default_rng(seed)
+                  for seed in np.random.SeedSequence(rng_seed).spawn(2))
+    second: list = []
+
+    def run_second() -> None:
+        try:
+            second.append(_mc_stream(rng1, pairs - half, x0, b_path, n_steps, dt, width))
+        except BaseException as exc:  # raised again on the caller's thread
+            second.append(exc)
+
+    worker = threading.Thread(target=run_second, name="stopbound-mc")
+    worker.start()
+    try:
+        first = _mc_stream(rng0, half, x0, b_path, n_steps, dt, width)
+    finally:
+        worker.join()
+    if isinstance(second[0], BaseException):
+        raise second[0]
+    stop_step, stop_x = (np.concatenate(a, axis=1) for a in zip(first, second[0]))
     t_stop = t0 + stop_step * dt
     h_stop = np.array([p.h(x) for x in stop_x.ravel()]).reshape(2, pairs)
     payoff = np.exp(-p.r * t_stop) * h_stop
