@@ -22,15 +22,18 @@ weights are small enough not to bias the residuals away from zero at the
 achievable tolerance.  The polished values are projected back into the
 envelope and onto the monotone cone.
 
-The schedule polishes from the current descent iterate after sweeps
-1, 2, 4, 8, ..., when descent stalls and when the sweep budget runs out.
-The first polished point whose normalized residual ``max|R| / max|lap|``
-is at or below :data:`RESIDUAL_TOLERANCE` is the solution.  A polished
-point above it is discarded and descent continues from its own iterate:
-after too short a descent the polish can land on a spurious point of the
-objective, whose residual sits one to two orders of magnitude above the
-true boundary's.  ``converged`` is reported only for a point that meets
-the residual bound (see :class:`SolveReport`).
+The schedule first polishes the seed, before any sweep (step 0), then
+polishes from the current descent iterate after sweeps 1, 2, 4, 8, ...,
+when descent stalls and when the sweep budget runs out.  Descent only
+gives the polish a starting point: the seed's polish usually meets the
+bound, and then no sweep runs.  The first polished point whose normalized
+residual ``max|R| / max|lap|`` is at or below :data:`RESIDUAL_TOLERANCE`
+is the solution.  A polished point above it is discarded and descent
+continues from its own iterate: from a poor start (the seed, or too short
+a descent) the polish can land on a spurious point of the objective,
+whose residual sits one to two orders of magnitude above the true
+boundary's.  ``converged`` is reported only for a point that meets the
+residual bound (see :class:`SolveReport`).
 """
 
 from __future__ import annotations
@@ -85,8 +88,8 @@ class SolverConfig:
     """Iteration budget, stopping tolerances and seeding mode.
 
     ``max_iterations`` caps the coordinate-descent sweeps; with the polish
-    on, a solve normally ends after the first sweep or two, once a polished
-    point meets :data:`RESIDUAL_TOLERANCE`.  Descent stalls when a sweep
+    on, a solve normally ends with no sweep at all, when the seed's polish
+    meets :data:`RESIDUAL_TOLERANCE`.  Descent stalls when a sweep
     moves no node by ``coordinate_tolerance`` or more, or lowers the
     objective by less than :data:`VALUE_TOLERANCE`.  ``polish=False`` runs
     descent alone, until it stalls or the budget runs out.
@@ -122,6 +125,11 @@ class SolveReport:
     budget without stalling.  ``polish_status`` and ``polish_nfev`` are the
     least-squares status and function-evaluation count of the accepted
     polish (``None`` when none was accepted).
+
+    ``iterations`` counts the sweeps run: 0 when the seed's polish was
+    accepted.  ``objective_trace`` holds the surrogate objective (on the
+    scale-normalized residuals) of the seed, then after each sweep, then of
+    the accepted polish when that is lower; it never increases.
     """
 
     grid: BoundaryGrid
@@ -160,9 +168,17 @@ def seed(
     local payoff power) into the envelope; ``envelope_midpoint`` takes the
     pointwise midpoint; ``custom`` takes user-supplied values, clamped.
     """
+    prior = _asymptotic_values(p, envelope) if cfg.seed_mode == "asymptotic" else None
+    return _seed_from(envelope, cfg, prior)
+
+
+def _seed_from(
+    envelope: BoundaryEnvelope, cfg: SolverConfig, prior: Optional[np.ndarray]
+) -> BoundaryGrid:
+    """:func:`seed` with the ``asymptotic`` values ``prior`` already computed."""
     lo, up = envelope.lower.values, envelope.upper.values
     if cfg.seed_mode == "asymptotic":
-        vals = _asymptotic_values(p, envelope)
+        vals = prior
     elif cfg.seed_mode == "envelope_midpoint":
         vals = 0.5 * (lo + up)
     else:
@@ -252,7 +268,7 @@ def _polish(
 
 
 def _polish_due(sweeps: int) -> bool:
-    """Whether the schedule polishes after this many sweeps: 1, 2, 4, 8, ..."""
+    """Whether the schedule polishes after this many sweeps: 0, 1, 2, 4, 8, ..."""
     return sweeps & (sweeps - 1) == 0
 
 
@@ -279,8 +295,13 @@ def solve(
     nodes = envelope.lower.nodes
     lower = envelope.lower.values.copy()
     upper = np.minimum(envelope.upper.values, 0.0)
-    start = seed(p, envelope, cfg)
-    d = start.values.copy()
+    # One prior serves as the asymptotic seed and as the polish's pull.
+    prior = (
+        _asymptotic_values(p, envelope)
+        if cfg.polish or cfg.seed_mode == "asymptotic"
+        else None
+    )
+    d = _seed_from(envelope, cfg, prior).values.copy()
     d[-1] = lower[-1]  # held: the residual loses all sensitivity to it
 
     lap, W, gam, c2 = tab.lap, tab.W, tab.gam, tab.c2
@@ -288,21 +309,28 @@ def solve(
     if scale <= 0.0:
         raise ValueError("degenerate problem: vanishing transform on the whole grid")
     lapn, Wn = lap / scale, W / scale
-    if cfg.polish:
-        t_max = _default_t_max(p)
-        prior = _asymptotic_values(p, envelope)
+    t_max = _default_t_max(p)
 
-    trace: List[float] = []
+    def objective(values: np.ndarray) -> float:
+        return float(
+            _kernels.surrogate_objective(
+                lapn, Wn, gam, c2, np.ascontiguousarray(values[:-1])
+            )
+        )
+
+    trace = [objective(d)]
     fit = None
     stalled = False
-    prev_obj = math.inf
-    for sweeps in range(1, cfg.max_iterations + 1):
-        obj, max_move = _kernels.sweep(
-            lapn, Wn, gam, c2, d, lower, upper, SCAN_POINTS, 1e-9
-        )
-        trace.append(float(obj))
-        stalled = max_move < cfg.coordinate_tolerance or prev_obj - obj < VALUE_TOLERANCE
-        prev_obj = obj
+    # Step 0 runs no sweep: it polishes the seed.
+    for sweeps in range(cfg.max_iterations + 1):
+        if sweeps:
+            obj, max_move = _kernels.sweep(
+                lapn, Wn, gam, c2, d, lower, upper, SCAN_POINTS, 1e-9
+            )
+            stalled = (
+                max_move < cfg.coordinate_tolerance or trace[-1] - obj < VALUE_TOLERANCE
+            )
+            trace.append(float(obj))
         if cfg.polish and (
             stalled or sweeps == cfg.max_iterations or _polish_due(sweeps)
         ):
@@ -319,11 +347,9 @@ def solve(
             break
 
     if fit is not None:
-        new_obj = _kernels.surrogate_objective(
-            lapn, Wn, gam, c2, np.ascontiguousarray(d[:-1])
-        )
+        new_obj = objective(d)
         if new_obj <= trace[-1]:
-            trace.append(float(new_obj))
+            trace.append(new_obj)
     max_residual = _max_residual(lapn, Wn, gam, d)
     if fit is not None:
         reason, converged = "residual_bound", True

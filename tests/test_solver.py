@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from stopbound import bounds as bounds_mod
-from stopbound import fredholm, solver
+from stopbound import _kernels, fredholm, solver
 from stopbound.constants import solve_B
 from stopbound.fredholm import BoundaryGrid, CGrid
 from stopbound.problem import builtin
@@ -207,6 +207,77 @@ class TestSweepPolishSchedule:
             boundaries.append(rep.grid.values)
         for values in boundaries:
             assert np.max(np.abs(values - LINEAR_30x15_500_SWEEPS)) <= 1e-7
+
+
+@pytest.fixture(scope="module")
+def put30():
+    p = builtin("american_put", rho=1.0, theta=0.5)
+    nodes = BoundaryGrid.uniform(p, 30).nodes
+    cgrid = CGrid.for_problem(p, 15)
+    return p, cgrid, bounds_mod.iterate(p, nodes, cgrid, 3)
+
+
+def _seed_objective(p, cgrid, env):
+    """The solver's surrogate objective at the asymptotic seed."""
+    tab = env.tabulation.leading(cgrid)
+    scale = float(np.max(np.abs(tab.lap)))
+    d = solver.seed(p, env).values
+    return _kernels.surrogate_objective(
+        tab.lap / scale, tab.W / scale, tab.gam, tab.c2, np.ascontiguousarray(d[:-1])
+    )
+
+
+class TestSeedPolish:
+    @pytest.mark.parametrize("case", ["linear30", "put30"])
+    def test_seed_polish_accepted_without_sweeps(self, case, request):
+        p, cgrid, env = request.getfixturevalue(case)
+        rep = solver.solve(p, cgrid, env)
+        assert rep.iterations == 0
+        assert rep.converged and rep.convergence_reason == "residual_bound"
+        trace = rep.objective_trace
+        assert trace[0] == _seed_objective(p, cgrid, env)
+        assert all(a >= b for a, b in zip(trace, trace[1:]))
+
+    def test_missed_seed_polish_falls_back_to_descent(self, linear30, monkeypatch):
+        # The first polish returns the seed unchanged, which misses the
+        # residual bound, so the solve must sweep once and polish again.
+        p, cgrid, env = linear30
+        polish = solver._polish
+        calls = []
+
+        def seed_first(d, *args):
+            calls.append(d.copy())
+            out, result = polish(d, *args)
+            return (d.copy() if len(calls) == 1 else out), result
+
+        monkeypatch.setattr(solver, "_polish", seed_first)
+        rep = solver.solve(p, cgrid, env)
+        assert len(calls) == 2
+        assert np.array_equal(calls[0][:-1], solver.seed(p, env).values[:-1])
+        assert rep.iterations == 1
+        assert rep.converged and rep.convergence_reason == "residual_bound"
+        trace = rep.objective_trace
+        assert len(trace) == 3 and trace[0] == _seed_objective(p, cgrid, env)
+        assert all(a >= b for a, b in zip(trace, trace[1:]))
+        assert np.max(np.abs(rep.grid.values - LINEAR_30x15_500_SWEEPS)) <= 1e-7
+
+    @pytest.mark.parametrize("case", ["linear30", "put30"])
+    def test_asymptotic_seed_is_the_prior(self, case, request):
+        p, _cgrid, env = request.getfixturevalue(case)
+        prior = solver._asymptotic_values(p, env)
+        assert np.array_equal(solver.seed(p, env).values, prior)
+
+    def test_one_root_find_per_solve(self, linear30, monkeypatch):
+        p, cgrid, env = linear30
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_B(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_B", counted)
+        assert solver.solve(p, cgrid, env).converged
+        assert len(calls) == 1
 
 
 class TestAsymptoticCheck:
