@@ -312,11 +312,7 @@ def solve(
     t_max = _default_t_max(p)
 
     def objective(values: np.ndarray) -> float:
-        return float(
-            _kernels.surrogate_objective(
-                lapn, Wn, gam, c2, np.ascontiguousarray(values[:-1])
-            )
-        )
+        return _kernels.surrogate_objective(lapn, Wn, gam, c2, values[:-1])
 
     trace = [objective(d)]
     fit = None
