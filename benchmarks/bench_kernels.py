@@ -15,7 +15,10 @@ reference exactly, the weights to 1e-12 relative, and the ``np.interp``
 lattice values to 1e-9.  The two-row comparison runs on each lattice that ``stopbound
 oracle`` runs in the benchmark and prints the share of stencil rows the
 current step multiplies.  The pure-Python ``find_root`` must return SciPy's
-``brentq`` bits on the library's own root finds.  The last row times ``import stopbound`` in fresh interpreters.
+``brentq`` bits on the library's own root finds.  The solver's
+Levenberg--Marquardt polish must give the boundary that SciPy's
+trust-region reflective solver gives, to 1.5e-7.  The last row times
+``import stopbound`` in fresh interpreters.
 """
 
 import math
@@ -28,9 +31,10 @@ from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.optimize import least_squares as scipy_least_squares
 
 from stopbound import _kernels as k
-from stopbound import bounds, constants, fredholm, numerics, oracle, problem
+from stopbound import bounds, constants, fredholm, numerics, oracle, problem, solver
 from stopbound.problem import american_put, builtin
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -176,6 +180,46 @@ def monte_carlo(paths=5000, n_steps=2000, t_min=-1.0):
     print(f"{'mc_value':<22}{t_ref:>15.6f}{t_new:>13.6f}{t_ref / t_new:>10.1f}")
 
 
+def _trf_least_squares(fun, x0, jac, bounds, linear, **tolerances):
+    """SciPy's trust-region reflective solver on the polish's stacked rows."""
+    A, b = linear
+    return scipy_least_squares(
+        lambda x: np.concatenate([fun(x), A @ x - b]), x0,
+        jac=lambda x: np.vstack([jac(x), A]), bounds=bounds, method="trf",
+        x_scale="jac", **tolerances,
+    )
+
+
+POLISH_CASES = (("linear", 30, 15), ("american_put", 30, 15),
+                ("linear", 60, 40), ("american_put", 60, 40))
+
+
+def polish():
+    """Time ``solver.solve`` with its Levenberg--Marquardt polish against SciPy's TRF."""
+    print("solver.solve (2 envelope iterations, asymptotic seed): Levenberg--Marquardt polish"
+          " against SciPy's TRF; boundaries agree to 1.5e-7")
+    print(f"{'case':<24}{'TRF (s)':>10}{'current (s)':>13}{'speedup':>10}"
+          f"{'nfev TRF/LM':>14}{'max |dd|':>11}")
+    saved = solver.least_squares
+    for label, n_nodes, n_c in POLISH_CASES:
+        p = builtin("linear") if label == "linear" else american_put(1.0, 0.5)
+        cgrid = fredholm.CGrid.for_problem(p, n_c)
+        env = bounds.iterate(p, fredholm.BoundaryGrid.uniform(p, n_nodes).nodes, cgrid, 2)
+        t_new, new = _time(solver.solve, p, cgrid, env, repeat=3)
+        solver.least_squares = _trf_least_squares
+        try:
+            t_ref, ref = _time(solver.solve, p, cgrid, env, repeat=3)
+        finally:
+            solver.least_squares = saved
+        move = float(np.max(np.abs(new.grid.values - ref.grid.values)))
+        if not (new.converged and ref.converged and move <= 1.5e-7):
+            raise AssertionError(f"polish: {label} {n_nodes} x {n_c} moves the boundary by {move:.3g}")
+        name = f"{label} {n_nodes} x {n_c}"
+        nfev = f"{ref.polish_nfev}/{new.polish_nfev}"
+        print(f"{name:<24}{t_ref:>10.4f}{t_new:>13.4f}{t_ref / t_new:>10.1f}{nfev:>14}"
+              f"{move:>11.2g}")
+
+
 def _root_calls():
     """``(f, bracket, tol)`` of the root finds in ``solve_B`` and the puts' smooth fit."""
     calls = []
@@ -232,6 +276,8 @@ def cold_start(runs=3):
 
 def main() -> None:
     rewrites()
+    print()
+    polish()
     print()
     root_finding()
     print()

@@ -175,8 +175,14 @@ def _solver_config(args: argparse.Namespace, **overrides) -> solver.SolverConfig
     return solver.SolverConfig(**kw)
 
 
-def _reference_curve(p: Problem, y: np.ndarray) -> np.ndarray:
-    B = constants_mod.solve_B(p.beta, p.m_ratio).B
+def _coefficient(p: Problem, report: Optional[solver.SolveReport] = None) -> float:
+    """The small-y coefficient ``B``: the one a solve's prior used, if any."""
+    if report is not None and report.prior_B is not None:
+        return report.prior_B
+    return constants_mod.solve_B(p.beta, p.m_ratio).B
+
+
+def _reference_curve(B: float, y: np.ndarray) -> np.ndarray:
     return -B * y * y
 
 
@@ -208,8 +214,8 @@ def _envelope(p: Problem, args: argparse.Namespace, iterations: int,
     return grid, cgrid, env
 
 
-def _write_plot(args: argparse.Namespace, p: Problem, grid, env, values) -> None:
-    ref = _reference_curve(p, grid.nodes)
+def _write_plot(args: argparse.Namespace, B: float, grid, env, values) -> None:
+    ref = _reference_curve(B, grid.nodes)
     _write_csv(
         args.out_dir,
         "plot.dat",
@@ -262,7 +268,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         ["c", "residual", "penalty"],
         zip(rv.c_values, rv.residuals, rv.penalties),
     )
-    _write_plot(args, p, grid, env, report.grid.values)
+    _write_plot(args, _coefficient(p, report), grid, env, report.grid.values)
     try:
         fitted = solver.asymptotic_check(report, p)
         print(f"fitted small-y coefficient B = {fitted:.4f}")
@@ -315,7 +321,8 @@ def cmd_residuals(args: argparse.Namespace) -> int:
             raise _UsageError(f"cannot read boundary CSV {args.boundary!r}: {exc}")
         grid = fredholm.BoundaryGrid(np.asarray(data["y"]), np.asarray(data["d"]))
     else:
-        vals = np.minimum.accumulate(np.minimum(_reference_curve(p, grid.nodes), 0.0))
+        ref = _reference_curve(_coefficient(p), grid.nodes)
+        vals = np.minimum.accumulate(np.minimum(ref, 0.0))
         grid = grid.with_values(vals)
     rv = fredholm.objective(p, grid, cgrid)
     _write_manifest(args)
@@ -364,7 +371,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         all_ok &= _check("max boundary gap vs reference (time units)",
                          float(gap[~trunc].max()), 3.0 * ref.dt, lines)
         fitted = solver.asymptotic_check(report, p, k=5)
-        B = constants_mod.solve_B(p.beta, p.m_ratio).B
+        B = _coefficient(p, report)
         tol = 0.25 if label == "linear" else 0.35
         all_ok &= _check("small-y coefficient relative error",
                          abs(fitted - B) / B, tol, lines)

@@ -9,7 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from stopbound import cli, oracle, solver
+from stopbound import cli, constants, oracle, solver
 
 
 def _read_csv(path):
@@ -146,6 +146,32 @@ class TestSolve:
         assert "max normalized residual" in out
         assert "convergence reason residual_bound, descent exhausted: False" in out
         assert "polish status" in out
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_one_root_find_per_solve(self, command, tmp_path, capsys, monkeypatch):
+        # The plot's small-y reference and verify's B check reuse the B of
+        # the solver's prior.
+        solve_B = constants.solve_B
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_B(*args, **kwargs)
+
+        monkeypatch.setattr(constants, "solve_B", counted)
+        monkeypatch.setattr(solver, "solve_B", counted)
+        lattice = ["--t-steps", "400", "--x-steps", "400"] if command == "verify" else []
+        rc = cli.main(
+            [command, "--problem", "linear", "--nodes", "20", "--cvals", "10",
+             "--out-dir", str(tmp_path)] + lattice
+        )
+        assert rc in (cli.EXIT_OK, cli.EXIT_VERIFY_FAILED)
+        assert len(calls) == 1
+        if command == "solve":
+            _header, rows = _read_csv(tmp_path / "plot.dat")
+            B = solve_B(1.0, 1.0).B
+            y = np.array([float(r[0]) for r in rows])
+            assert [r[4] for r in rows] == [repr(float(v)) for v in -B * y * y]
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_unconverged_exit_code(self, command, tmp_path, capsys, monkeypatch):

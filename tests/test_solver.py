@@ -148,13 +148,34 @@ def linear30(linear):
     return linear, cgrid, bounds_mod.iterate(linear, nodes, cgrid, 3)
 
 
+def _first_polish_misses(monkeypatch):
+    """Make the first polish return its starting point unchanged.
+
+    After a few sweeps that point is the descent iterate, whose residual is
+    above the bound, so the polish misses as a spurious point would.
+    Returns the list of the polishes' starting points.
+    """
+    polish = solver._polish
+    calls = []
+
+    def first_misses(d, *args):
+        calls.append(d.copy())
+        out, result = polish(d, *args)
+        return (d.copy() if len(calls) == 1 else out), result
+
+    monkeypatch.setattr(solver, "_polish", first_misses)
+    return calls
+
+
 class TestSweepPolishSchedule:
     def test_spurious_polish_after_four_sweeps(self, linear30, monkeypatch):
-        # A polish after exactly 4 sweeps lands on a spurious point here;
-        # polishing only then must leave the solve unconverged.
+        # A polish after exactly 4 sweeps that misses the residual bound
+        # (injected) must leave the solve unconverged.
         p, cgrid, env = linear30
         monkeypatch.setattr(solver, "_polish_due", lambda k: k == 4)
+        calls = _first_polish_misses(monkeypatch)
         rep = solver.solve(p, cgrid, env, solver.SolverConfig(max_iterations=4))
+        assert len(calls) == 1
         assert not rep.converged
         assert rep.convergence_reason == "budget" and rep.descent_exhausted
         assert rep.polish_status is None and rep.polish_nfev is None
@@ -163,7 +184,9 @@ class TestSweepPolishSchedule:
     def test_rejects_spurious_polish_and_polishes_again(self, linear30, monkeypatch):
         p, cgrid, env = linear30
         monkeypatch.setattr(solver, "_polish_due", lambda k: k >= 4 and k & (k - 1) == 0)
+        calls = _first_polish_misses(monkeypatch)
         rep = solver.solve(p, cgrid, env)
+        assert len(calls) == 2
         assert rep.iterations == 8
         assert rep.converged and rep.convergence_reason == "residual_bound"
         assert np.max(np.abs(rep.grid.values - LINEAR_30x15_500_SWEEPS)) <= 1e-7
@@ -278,6 +301,114 @@ class TestSeedPolish:
         monkeypatch.setattr(solver, "solve_B", counted)
         assert solver.solve(p, cgrid, env).converged
         assert len(calls) == 1
+
+
+def _seed_polish_inputs(setup, monkeypatch):
+    """The arguments of the first polish of a default solve of ``setup``."""
+    p, cgrid, env = setup
+    polish = solver._polish
+    inputs = []
+
+    def recorded(d, *args):
+        inputs.append((d.copy(),) + args)
+        return polish(d, *args)
+
+    monkeypatch.setattr(solver, "_polish", recorded)
+    solver.solve(p, cgrid, env)
+    monkeypatch.setattr(solver, "_polish", polish)
+    return inputs[0]
+
+
+def _polish_fit(inputs, **overrides):
+    """``solver.least_squares`` on the polish problem of ``inputs``, as the polish calls it."""
+    fun, jac, linear, x0 = solver._polish_problem(*inputs)
+    kwargs = dict(xtol=1e-15, ftol=1e-15, gtol=1e-14, max_nfev=2000)
+    kwargs.update(overrides)
+    return solver.least_squares(fun, x0, jac, (-inputs[-1], 0.0), linear, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def linear60(linear_setup):
+    return linear_setup.problem, linear_setup.cgrid, linear_setup.envelope
+
+
+@pytest.fixture(scope="module")
+def put60(put_setup):
+    return put_setup.problem, put_setup.cgrid, put_setup.envelope
+
+
+class TestLeastSquares:
+    @pytest.mark.parametrize("case", ["linear30", "put30", "linear60", "put60"])
+    def test_agrees_with_scipy_trf(self, case, request, monkeypatch):
+        from scipy.optimize import least_squares as scipy_least_squares
+
+        inputs = _seed_polish_inputs(request.getfixturevalue(case), monkeypatch)
+        fun, jac, (A, b), x0 = solver._polish_problem(*inputs)
+        ours = _polish_fit(inputs)
+        trf = scipy_least_squares(
+            lambda x: np.concatenate([fun(x), A @ x - b]),
+            x0,
+            jac=lambda x: np.vstack([jac(x), A]),
+            bounds=(-inputs[-1], 0.0),
+            method="trf",
+            xtol=1e-15,
+            ftol=1e-15,
+            gtol=1e-14,
+            max_nfev=2000,
+            x_scale="jac",
+        )
+        assert ours.status > 0 and trf.status > 0
+        assert np.max(np.abs(ours.x - trf.x)) <= 1.5e-7
+        assert ours.cost == pytest.approx(trf.cost, rel=1e-6)
+
+    def test_linear_problem_returns_its_kkt_point(self):
+        # The unconstrained minimizer (1.44, 0.19, -1.07) leaves the box
+        # [-1, 0]**3; the bounded one holds x_0 = x_1 = 0 at the upper bound.
+        from scipy.optimize import lsq_linear
+
+        C = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0], [1.0, 0.0, 1.0]])
+        d = np.array([3.0, 1.0, -2.0, 0.5])
+        A = np.array([[0.1, 0.0, 0.0], [0.0, 0.0, 0.2]])
+        b = np.array([0.0, -0.5])
+        res = solver.least_squares(
+            lambda x: C @ x - d, np.full(3, -0.5), lambda x: C, (-1.0, 0.0), (A, b),
+            xtol=1e-15, ftol=1e-15, gtol=1e-14, max_nfev=200,
+        )
+        assert res.status > 0
+        g = C.T @ (C @ res.x - d) + A.T @ (A @ res.x - b)
+        assert np.all(g[:2] < 0.0) and abs(g[2]) <= 1e-12
+        assert np.all((res.x >= -1.0) & (res.x <= 0.0))
+        ref = lsq_linear(np.vstack([C, A]), np.concatenate([d, b]), bounds=(-1.0, 0.0),
+                         method="bvls", tol=1e-15)
+        assert np.array_equal(ref.x[:2], [0.0, 0.0])
+        assert np.max(np.abs(res.x - ref.x)) <= 1e-12
+
+    def test_budget_exhaustion_is_status_0(self, linear30, monkeypatch):
+        res = _polish_fit(_seed_polish_inputs(linear30, monkeypatch), max_nfev=5)
+        assert res.status == 0 and 1 <= res.nfev <= 5
+
+    def test_solve_rejects_a_polish_out_of_budget(self, linear30, monkeypatch):
+        p, cgrid, env = linear30
+        least_squares = solver.least_squares
+        statuses = []
+
+        def starved(*args, **kwargs):
+            result = least_squares(*args, **{**kwargs, "max_nfev": 3})
+            statuses.append(result.status)
+            return result
+
+        monkeypatch.setattr(solver, "least_squares", starved)
+        rep = solver.solve(p, cgrid, env, solver.SolverConfig(max_iterations=2))
+        assert statuses == [0, 0, 0]  # the polishes at sweeps 0, 1 and 2
+        assert not rep.converged and rep.convergence_reason == "budget"
+        assert rep.polish_status is None and rep.polish_nfev is None
+
+    def test_polish_returns_least_squares_result(self, linear30, monkeypatch):
+        rep = solver.solve(*linear30)
+        inputs = _seed_polish_inputs(linear30, monkeypatch)
+        res = _polish_fit(inputs)
+        assert (rep.polish_status, rep.polish_nfev) == (res.status, res.nfev)
+        assert rep.prior_B == solve_B(1.0, 1.0).B
 
 
 class TestAsymptoticCheck:
