@@ -59,7 +59,7 @@ def _time(fn, *args, repeat=5, **kwargs):
     return best, out
 
 
-def steps_reference(p, env, tol=bounds.DEFAULT_BISECTION_TOL):
+def steps_reference(p, env, tol=bounds.BISECTION_TOL):
     """Upper step against ``env.lower``, then lower step against that, node by node."""
     tab, t_max = env.tabulation, 50.0 / p.r
     up = env.lower.with_values(reference_upper_step(tab, env.lower, tol, t_max))

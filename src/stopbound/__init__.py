@@ -29,7 +29,7 @@ from .fredholm import (
 )
 from .oracle import backward_induction, extract_d, mc_value, refined_boundary
 from .problem import Problem, american_put, builtin, load_problem_file, remove_drift
-from .solver import SolveReport, SolverConfig, asymptotic_check, seed, solve
+from .solver import SolveReport, asymptotic_check, seed, solve
 
 __version__ = "0.1.0"
 
@@ -59,7 +59,6 @@ __all__ = [
     "lower_step",
     "upper_step",
     "iterate",
-    "SolverConfig",
     "SolveReport",
     "seed",
     "solve",

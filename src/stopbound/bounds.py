@@ -46,12 +46,13 @@ __all__ = [
     "lower_step",
     "upper_step",
     "iterate",
-    "DEFAULT_BISECTION_TOL",
+    "BISECTION_TOL",
 ]
 
 log = logging.getLogger(__name__)
 
-DEFAULT_BISECTION_TOL = 1e-6
+# A bisection stops once its bracket is this narrow.
+BISECTION_TOL = 1e-6
 _EXTENSION_FACTORS = np.geomspace(1.2, 4.0, 8)
 
 
@@ -134,41 +135,37 @@ def _lockstep_bisect(
     below: Callable[[np.ndarray, np.ndarray], np.ndarray],
     nodes: np.ndarray,
     t_max: float,
-    tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bisect ``[-t_max, 0]`` at every node in ``nodes`` together.
 
     ``below(nodes, t)`` tells, per node, whether the sought level lies at or
-    below ``t``.  A node halves its bracket while it is wider than ``tol``,
-    exactly as often as a bisection of that node alone would.  Returns the
-    final ``(lo, hi)`` brackets.
+    below ``t``.  A node halves its bracket while it is wider than
+    :data:`BISECTION_TOL`, exactly as often as a bisection of that node
+    alone would.  Returns the final ``(lo, hi)`` brackets.
     """
     lo = np.full(nodes.shape, -t_max)
     hi = np.zeros(nodes.shape)
-    active = np.flatnonzero(hi - lo > tol)
+    active = np.flatnonzero(hi - lo > BISECTION_TOL)
     while active.size:
         mid = 0.5 * (lo[active] + hi[active])
         down = below(nodes[active], mid)
         hi[active[down]] = mid[down]
         lo[active[~down]] = mid[~down]
-        active = active[hi[active] - lo[active] > tol]
+        active = active[hi[active] - lo[active] > BISECTION_TOL]
     return lo, hi
 
 
 def lower_step(
-    p: Problem,
-    upper: BoundaryGrid,
-    tab: Tabulation,
-    tol: float = DEFAULT_BISECTION_TOL,
-    t_max: Optional[float] = None,
+    p: Problem, upper: BoundaryGrid, tab: Tabulation
 ) -> tuple[BoundaryGrid, np.ndarray]:
     """Per-node lower bounds certified against ``upper`` on ``tab``'s weights.
 
     Returns the new lower grid and a boolean truncation-flag array marking
-    nodes where the bisection range ``[-t_max, 0]`` was exhausted.
+    nodes where the bisection range ``[-t_max, 0]`` was exhausted, with
+    ``t_max = 50 / r`` (50 when ``r = 0``).
     """
     tab.require_nodes(upper.nodes)
-    t_max = _default_t_max(p) if t_max is None else t_max
+    t_max = _default_t_max(p)
     n = upper.nodes.shape[0]
     u = upper.values[:-1]
     P, Wc = _prefix_sums(tab, u)
@@ -193,21 +190,15 @@ def lower_step(
     out[k[deep]] = -t_max
     truncated[k[deep]] = True
     k = k[~deep]
-    out[k] = _lockstep_bisect(holds, k, t_max, tol)[1]
+    out[k] = _lockstep_bisect(holds, k, t_max)[1]
     out = _monotone_from_right(np.minimum(out, upper.values))
     return upper.with_values(out), truncated
 
 
-def upper_step(
-    p: Problem,
-    lower: BoundaryGrid,
-    tab: Tabulation,
-    tol: float = DEFAULT_BISECTION_TOL,
-    t_max: Optional[float] = None,
-) -> BoundaryGrid:
+def upper_step(p: Problem, lower: BoundaryGrid, tab: Tabulation) -> BoundaryGrid:
     """Per-node upper bounds certified against ``lower`` on ``tab``'s weights."""
     tab.require_nodes(lower.nodes)
-    t_max = _default_t_max(p) if t_max is None else t_max
+    t_max = _default_t_max(p)
     n = lower.nodes.shape[0]
     v = lower.values[:-1]
     P, Wc = _prefix_sums(tab, v)
@@ -226,23 +217,17 @@ def upper_step(
     infeasible = ~holds(k, np.full(k.shape, -t_max))
     out[k[infeasible]] = lower.values[k[infeasible]]
     k = k[~infeasible]
-    out[k] = _lockstep_bisect(lambda k, t: ~holds(k, t), k, t_max, tol)[0]
+    out[k] = _lockstep_bisect(lambda k, t: ~holds(k, t), k, t_max)[0]
     out = _monotone_from_left(np.maximum(out, lower.values))
     return lower.with_values(np.minimum(out, 0.0))
 
 
-def initial_envelope(
-    p: Problem,
-    nodes: np.ndarray,
-    cgrid: CGrid,
-    tol: float = DEFAULT_BISECTION_TOL,
-    t_max: Optional[float] = None,
-) -> BoundaryEnvelope:
+def initial_envelope(p: Problem, nodes: np.ndarray, cgrid: CGrid) -> BoundaryEnvelope:
     """Zero upper bound plus one certified lower step against it."""
     nodes = np.asarray(nodes, dtype=float)
     upper = BoundaryGrid(nodes=nodes, values=np.zeros(nodes.shape[0]))
     tab = fredholm.tabulate(p, upper, CGrid(extended_cvalues(p, cgrid)))
-    lower, truncated = lower_step(p, upper, tab, tol, t_max)
+    lower, truncated = lower_step(p, upper, tab)
     return BoundaryEnvelope(lower, upper, 0, truncated, tab)
 
 
@@ -251,8 +236,6 @@ def iterate(
     nodes: np.ndarray,
     cgrid: CGrid,
     k: int,
-    tol: float = DEFAULT_BISECTION_TOL,
-    t_max: Optional[float] = None,
     collect: Optional[List[BoundaryEnvelope]] = None,
 ) -> BoundaryEnvelope:
     """Alternate refinement steps ``k`` times, starting with an upper step.
@@ -264,16 +247,16 @@ def iterate(
     """
     if k < 1:
         raise ValueError("iteration count must be >= 1")
-    env = initial_envelope(p, nodes, cgrid, tol, t_max)
+    env = initial_envelope(p, nodes, cgrid)
     if collect is not None:
         collect.append(env)
     for i in range(1, k + 1):
         if i % 2 == 1:
-            upper = upper_step(p, env.lower, env.tabulation, tol, t_max)
+            upper = upper_step(p, env.lower, env.tabulation)
             vals = np.minimum(upper.values, env.upper.values)
             env = replace(env, upper=upper.with_values(vals), iteration=i)
         else:
-            lower, truncated = lower_step(p, env.upper, env.tabulation, tol, t_max)
+            lower, truncated = lower_step(p, env.upper, env.tabulation)
             # A certified bound never loosens: keep the better of old and new.
             vals = np.maximum(lower.values, env.lower.values)
             env = replace(env, lower=lower.with_values(vals), iteration=i,

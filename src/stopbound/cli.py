@@ -49,16 +49,8 @@ class _UsageError(Exception):
     pass
 
 
-def _add_shared(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--problem", choices=_BUILTINS, help="builtin problem label")
-    sp.add_argument("--problem-file", help="path to a key=value problem definition")
-    sp.add_argument("--rho", type=float, default=1.0, help="put: rate over squared volatility")
-    sp.add_argument("--theta", type=float, default=0.5, help="put: interest over dividend rate")
+def _add_output(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out-dir", default=".", help="directory for CSV outputs")
-    sp.add_argument("--nodes", type=int, default=60, help="spatial node count N")
-    sp.add_argument("--cvals", type=int, default=40, help="kernel parameter count M")
-    sp.add_argument("--tolerance", type=float, default=None,
-                    help="override the solver coordinate tolerance")
     sp.add_argument("--config", help="key=value file of defaults (command line wins)")
 
 
@@ -74,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # Not required by the parser, so that --config can supply it.
     sp.add_argument("--beta", type=float)
     sp.add_argument("--m-ratio", type=float, default=1.0)
-    _add_shared(sp)
+    _add_output(sp)
 
     for name, helptext in (
         ("solve", "solve for the stopping boundary"),
@@ -84,7 +76,15 @@ def _build_parser() -> argparse.ArgumentParser:
         ("residuals", "dump residuals for a boundary"),
     ):
         sp = sub.add_parser(name, help=helptext)
-        _add_shared(sp)
+        sp.add_argument("--problem", choices=_BUILTINS, help="builtin problem label")
+        sp.add_argument("--problem-file", help="path to a key=value problem definition")
+        sp.add_argument("--rho", type=float, default=1.0,
+                        help="put: rate over squared volatility")
+        sp.add_argument("--theta", type=float, default=0.5,
+                        help="put: interest over dividend rate")
+        sp.add_argument("--nodes", type=int, default=60, help="spatial node count N")
+        if name != "oracle":
+            sp.add_argument("--cvals", type=int, default=40, help="kernel parameter count M")
         if name in ("solve", "bounds"):
             sp.add_argument("--iterations", type=int, default=2 if name == "solve" else 3,
                             help="envelope refinement steps")
@@ -99,6 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "residuals":
             sp.add_argument("--boundary", help="boundary CSV (columns y,d) to evaluate;"
                             " defaults to the asymptotic seed curve")
+        _add_output(sp)
     return ap
 
 
@@ -165,14 +166,6 @@ def _get_problem(args: argparse.Namespace) -> Problem:
     if args.problem == "american_put":
         return builtin("american_put", rho=args.rho, theta=args.theta)
     return builtin(args.problem)
-
-
-def _solver_config(args: argparse.Namespace, **overrides) -> solver.SolverConfig:
-    kw = {}
-    if args.tolerance is not None:
-        kw["coordinate_tolerance"] = args.tolerance
-    kw.update(overrides)
-    return solver.SolverConfig(**kw)
 
 
 def _coefficient(p: Problem, report: Optional[solver.SolveReport] = None) -> float:
@@ -246,8 +239,7 @@ def _print_convergence(report: solver.SolveReport) -> None:
 def cmd_solve(args: argparse.Namespace) -> int:
     p = _get_problem(args)
     grid, cgrid, env = _envelope(p, args, args.iterations)
-    cfg = _solver_config(args, seed_mode=args.seed_mode)
-    report = solver.solve(p, cgrid, env, cfg)
+    report = solver.solve(p, cgrid, env, args.seed_mode)
     _write_manifest(args)
     _write_csv(
         args.out_dir,
@@ -357,7 +349,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif label in ("linear", "american_put"):
         p = _get_problem(args)
         grid, cgrid, env = _envelope(p, args, 3)
-        report = solver.solve(p, cgrid, env, _solver_config(args))
+        report = solver.solve(p, cgrid, env)
         if not report.converged:
             print("solver did not converge")
             _print_convergence(report)
@@ -415,8 +407,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.nodes < 2 or args.cvals < 1:
-            raise _UsageError("--nodes must be >= 2 and --cvals >= 1")
+        # Only the commands that take a grid size check it.
+        if getattr(args, "nodes", 2) < 2:
+            raise _UsageError("--nodes must be >= 2")
+        if getattr(args, "cvals", 1) < 1:
+            raise _UsageError("--cvals must be >= 1")
         return _COMMANDS[args.subcommand](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

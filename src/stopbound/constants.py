@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 from .numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
     RootBracket,
     find_root,
     integrate_semi_infinite,
@@ -42,6 +40,9 @@ __all__ = [
 
 _BRACKET_LO = 1e-3
 _BRACKET_HI = 1e3
+# Root tolerances of :func:`solve_B` and :func:`stadje_alpha`.
+_B_TOL = 1e-10
+_ALPHA_TOL = 1e-12
 
 
 class ConstantOutOfRangeError(ValueError):
@@ -57,14 +58,12 @@ class AsymptoticConstant:
     B: float
     alpha: float
 
-    def identity_residual(self, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+    def identity_residual(self) -> float:
         """Residual of the defining moment identity at the stored ``B``."""
-        return moment_integral(self.B, self.beta, spec) - self.m_ratio * math.gamma(
-            self.beta + 1.0
-        )
+        return moment_integral(self.B, self.beta) - self.m_ratio * math.gamma(self.beta + 1.0)
 
 
-def moment_integral(B: float, beta: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def moment_integral(B: float, beta: float) -> float:
     """``integral_0^inf z**beta * exp(-B z**2/2 + z) dz`` by quadrature."""
     if B <= 0.0:
         raise ValueError("B must be positive")
@@ -76,7 +75,7 @@ def moment_integral(B: float, beta: float, spec: QuadratureSpec = DEFAULT_QUADRA
 
     # The integrand decays like exp(-B z^2/2); past the mode any rate below
     # B*z - 1 is a valid exponential bound, 1.0 is safely conservative.
-    return integrate_semi_infinite(f, 0.0, +1, 1.0, spec)
+    return integrate_semi_infinite(f, 0.0, +1, 1.0)
 
 
 def closed_form_moment(B: float) -> float:
@@ -92,12 +91,7 @@ def closed_form_moment(B: float) -> float:
     ) / B**1.5
 
 
-def solve_B(
-    beta: float,
-    m_ratio: float = 1.0,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-    tol: float = 1e-10,
-) -> AsymptoticConstant:
+def solve_B(beta: float, m_ratio: float = 1.0) -> AsymptoticConstant:
     """Solve the moment identity for ``B`` at the given local power.
 
     The moment integral is strictly decreasing in ``B``, so the root inside
@@ -110,7 +104,7 @@ def solve_B(
     target = m_ratio * math.gamma(beta + 1.0)
 
     def g(B: float) -> float:
-        return moment_integral(B, beta, spec) - target
+        return moment_integral(B, beta) - target
 
     f_lo = g(_BRACKET_LO)
     f_hi = g(_BRACKET_HI)
@@ -120,11 +114,11 @@ def solve_B(
             f"for beta={beta}, m_ratio={m_ratio}"
         )
     bracket = RootBracket(_BRACKET_LO, _BRACKET_HI, f_lo, f_hi)
-    B = find_root(g, bracket, tol)
+    B = find_root(g, bracket, _B_TOL)
     return AsymptoticConstant(beta=beta, m_ratio=m_ratio, B=B, alpha=1.0 / math.sqrt(B))
 
 
-def stadje_alpha(tol: float = 1e-12) -> float:
+def stadje_alpha() -> float:
     """Positive root of ``alpha**3 Phi(alpha) = (1 - alpha**2) phi(alpha)``.
 
     This is the square-root-boundary coefficient of the closed-form cubic
@@ -135,4 +129,4 @@ def stadje_alpha(tol: float = 1e-12) -> float:
         return a**3 * norm_cdf(a) - (1.0 - a * a) * norm_pdf(a)
 
     bracket = RootBracket(0.1, 2.0, g(0.1), g(2.0))
-    return find_root(g, bracket, tol)
+    return find_root(g, bracket, _ALPHA_TOL)

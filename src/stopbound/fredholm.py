@@ -49,15 +49,13 @@ __all__ = [
     "closed_form_residual",
 ]
 
-# Exponents below this make exp() underflow to exactly 0 in double precision;
-# used to clamp before exponentiation, never to change a finite value.
-_EXP_FLOOR = -745.0
-
 # Points of the Gauss--Legendre rule for segment weights, and the relative
 # gap to the rule with twice the points beyond which a segment is
 # integrated adaptively.
 _GL_POINTS = 6
 _GL_GUARD_RTOL = 1e-12
+# Spacing of the kernel parameters of :meth:`CGrid.for_problem`.
+_C_STEP = 0.1
 
 
 class InadmissibleCError(ValueError):
@@ -126,11 +124,11 @@ class CGrid:
             raise ValueError("kernel parameters must be strictly increasing")
 
     @classmethod
-    def for_problem(cls, p: Problem, count: int, step: float = 0.1) -> "CGrid":
-        """``count`` parameters ``c_l = sqrt(2r) + l*step``, ``l = 1..count``."""
-        if count < 1 or step <= 0.0:
-            raise ValueError("count must be >= 1 and step positive")
-        return cls(values=p.c_min + step * np.arange(1, count + 1))
+    def for_problem(cls, p: Problem, count: int) -> "CGrid":
+        """``count`` parameters ``c_l = sqrt(2r) + 0.1*l``, ``l = 1..count``."""
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        return cls(values=p.c_min + _C_STEP * np.arange(1, count + 1))
 
     def require_admissible(self, p: Problem) -> None:
         if self.values[0] <= p.c_min:
@@ -206,23 +204,19 @@ def _gauss_legendre(p: Problem, nodes: np.ndarray, cs: np.ndarray, q: int) -> np
         return np.einsum("lnq,nq->ln", np.exp(cs[:, None, None] * y), h * half[:, None] * w)
 
 
-def segment_weights(
-    p: Problem,
-    grid: BoundaryGrid,
-    c: float | np.ndarray,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> np.ndarray:
+def segment_weights(p: Problem, grid: BoundaryGrid, c: float | np.ndarray) -> np.ndarray:
     """Kernel integrals ``w_n = integral_{y_n}^{y_{n+1}} exp(c*y) h_tilde(y) dy``.
 
     ``c`` is one parameter (the result is ``(N-1,)``) or an array of them
     (``(M, N-1)``).  Each segment takes a fixed 6-point Gauss--Legendre
     rule, exact to round-off for integrands smooth on the segment.  The
     rule is guarded by the 12-point rule: a segment where the two differ by
-    more than 1e-12 relative (with ``spec.absolute_tolerance`` as the floor)
-    is integrated adaptively at every ``c`` instead, which catches a kink of
-    a problem-file ``h_tilde``.  A rule that is not finite fails its guard
-    too, so a weight past the floating-point range raises ``OverflowError``
-    from the adaptive quadrature.
+    more than 1e-12 relative (with the absolute tolerance of
+    :data:`DEFAULT_QUADRATURE` as the floor) is integrated adaptively at
+    every ``c`` instead, which catches a kink of a problem-file ``h_tilde``.
+    A rule that is not finite fails its guard too, so a weight past the
+    floating-point range raises ``OverflowError`` from the adaptive
+    quadrature.
     Atoms of ``h_tilde`` located inside ``[0, b_inf]`` contribute
     ``weight * exp(c * location)`` to the segment that contains them.
     The weights are plain integrals and are defined for any ``c``;
@@ -235,12 +229,12 @@ def segment_weights(
     cs = np.atleast_1d(np.asarray(c, dtype=float))
     w = _gauss_legendre(p, nodes, cs, _GL_POINTS)
     guard = _gauss_legendre(p, nodes, cs, 2 * _GL_POINTS)
-    floor = np.maximum(_GL_GUARD_RTOL * np.abs(guard), spec.absolute_tolerance)
+    floor = np.maximum(_GL_GUARD_RTOL * np.abs(guard), DEFAULT_QUADRATURE.absolute_tolerance)
     passed = np.isfinite(guard) & (np.abs(w - guard) <= floor)
     for n in np.flatnonzero(~np.all(passed, axis=0)):
         for i, ci in enumerate(cs.tolist()):
             w[i, n] = integrate_finite(
-                lambda y: math.exp(ci * y) * p.h_tilde(y), nodes[n], nodes[n + 1], spec
+                lambda y: math.exp(ci * y) * p.h_tilde(y), nodes[n], nodes[n + 1]
             )
     last = nodes[-1]
     for loc, weight in p.atoms:
@@ -250,37 +244,23 @@ def segment_weights(
     return w if np.ndim(c) else w[0]
 
 
-def tabulate(
-    p: Problem,
-    grid: BoundaryGrid,
-    cgrid: CGrid,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> Tabulation:
+def tabulate(p: Problem, grid: BoundaryGrid, cgrid: CGrid) -> Tabulation:
     """The :class:`Tabulation` of ``grid``'s nodes over ``cgrid``, computed afresh."""
     cgrid.require_admissible(p)
     cs = cgrid.values.copy()
     lap = np.array([p.laplace_h_tilde(c) for c in cs])
-    W = segment_weights(p, grid, cs, spec)
+    W = segment_weights(p, grid, cs)
     return Tabulation(grid.nodes.copy(), cs, lap, W, cs * cs / 2.0 - p.r, cs * cs)
 
 
-def residual(
-    p: Problem,
-    grid: BoundaryGrid,
-    c: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
-    """The identity residual ``R(c; d)`` at a single kernel parameter."""
-    if c <= p.c_min:
-        raise InadmissibleCError(f"kernel parameter {c} <= sqrt(2r) = {p.c_min}")
-    w = segment_weights(p, grid, c, spec)
-    gam = c * c / 2.0 - p.r
-    acc = p.laplace_h_tilde(c)
-    for n in range(w.shape[0]):
-        e = gam * grid.values[n]
-        if e > _EXP_FLOOR:
-            acc += math.exp(e) * w[n]
-    return acc
+def residual(p: Problem, grid: BoundaryGrid, c: float) -> float:
+    """The identity residual ``R(c; d)`` at a single kernel parameter.
+
+    It is the residual of the one-parameter :class:`Tabulation`, so ``c`` at
+    or below ``sqrt(2r)`` raises :class:`InadmissibleCError`.
+    """
+    tab = tabulate(p, grid, CGrid([c]))
+    return float(_kernels.residuals(tab.lap, tab.W, tab.gam, grid.values[:-1])[0])
 
 
 def penalty(c: float, x: float) -> float:
@@ -292,14 +272,9 @@ def penalty(c: float, x: float) -> float:
     return s * s
 
 
-def objective(
-    p: Problem,
-    grid: BoundaryGrid,
-    cgrid: CGrid,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> ResidualVector:
+def objective(p: Problem, grid: BoundaryGrid, cgrid: CGrid) -> ResidualVector:
     """Residuals and penalties over the whole parameter grid."""
-    return tabulate(p, grid, cgrid, spec).residual_vector(grid)
+    return tabulate(p, grid, cgrid).residual_vector(grid)
 
 
 def closed_form_residual(alpha: float, c: float) -> float:
@@ -320,12 +295,7 @@ def closed_form_residual(alpha: float, c: float) -> float:
     )
 
 
-def verify_closed_form(
-    label: str,
-    cvalues: Sequence[float],
-    alpha: float | None = None,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def verify_closed_form(label: str, cvalues: Sequence[float], alpha: float | None = None) -> float:
     """Max residual of the closed-form benchmark boundary over ``cvalues``.
 
     Supported label: ``stadje``.  Evaluates the continuous double integral
@@ -342,11 +312,7 @@ def verify_closed_form(
         alpha = stadje_alpha()
     # The outer integrand carries the inner quadrature's noise floor, so the
     # outer pass must not chase tolerances below that floor.
-    outer_spec = QuadratureSpec(
-        relative_tolerance=max(spec.relative_tolerance, 1e-8),
-        absolute_tolerance=max(spec.absolute_tolerance, 1e-9),
-        max_subdivisions=spec.max_subdivisions,
-    )
+    outer_spec = QuadratureSpec(relative_tolerance=1e-8, absolute_tolerance=1e-9)
     worst = 0.0
     for c in cvalues:
         if c <= 0.0:
@@ -355,7 +321,7 @@ def verify_closed_form(
         def inner(s: float) -> float:
             u = alpha * math.sqrt(-s)
             return integrate_semi_infinite(
-                lambda x: -x * math.exp(c * x), u, -1, max(c / 2.0, 0.25), spec
+                lambda x: -x * math.exp(c * x), u, -1, max(c / 2.0, 0.25)
             )
 
         val = integrate_semi_infinite(

@@ -204,17 +204,16 @@ def refined_boundary(
     t_min: float,
     t_steps: int = 2000,
     x_steps: int = 2000,
-    x_bounds: Optional[Tuple[float, float]] = None,
 ) -> RefinedBoundary:
     """Richardson-extrapolated boundary, bias removed to first order.
 
     The Bermudan boundary sits below the continuous one by approximately a
     constant times ``sqrt(dt)``; running the lattice again at quadruple time
     (double space) resolution and forming ``2*b_fine - b_coarse`` cancels
-    that term.
+    that term.  Both lattices span :func:`default_x_bounds`.
     """
-    coarse = backward_induction(p, t_min, x_bounds, t_steps, x_steps)
-    fine = backward_induction(p, t_min, x_bounds, 4 * t_steps, 2 * x_steps)
+    coarse = backward_induction(p, t_min, None, t_steps, x_steps)
+    fine = backward_induction(p, t_min, None, 4 * t_steps, 2 * x_steps)
     b_fine = np.interp(coarse.t_values, fine.t_values, fine.boundary)
     b = np.minimum.accumulate(2.0 * b_fine - coarse.boundary)
     # dt/dx record the oracle's nominal resolution (the coarse lattice); the
@@ -225,15 +224,15 @@ def refined_boundary(
 
 
 def d_intervals(
-    ref: RefinedBoundary, nodes: np.ndarray, slack_cells: float = 1.0
+    ref: RefinedBoundary, nodes: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-segment admissible ``d`` ranges implied by the reference boundary.
 
     A piecewise-constant boundary value on segment ``[y_n, y_{n+1})``
     represents every crossing time the continuous boundary takes inside the
     segment, so the faithful comparison is against the interval
-    ``[d(y_{n+1}), d(y_n)]`` widened by ``slack_cells`` spatial cells of the
-    reference lattice.  Returns ``(d_lo, d_hi, truncated)`` arrays over the
+    ``[d(y_{n+1}), d(y_n)]`` widened by one spatial cell of the reference
+    lattice.  Returns ``(d_lo, d_hi, truncated)`` arrays over the
     segments (one entry per node except the last).
     """
     nodes = np.asarray(nodes, dtype=float)
@@ -247,9 +246,8 @@ def d_intervals(
         v[y <= 0.0] = 0.0
         return v
 
-    pad = slack_cells * ref.dx
-    d_lo = d_of(nodes[1:] + pad)
-    d_hi = d_of(np.maximum(nodes[:-1] - pad, 0.0))
+    d_lo = d_of(nodes[1:] + ref.dx)
+    d_hi = d_of(np.maximum(nodes[:-1] - ref.dx, 0.0))
     truncated = d_lo <= t_min + 3.0 * ref.dt
     return d_lo, d_hi, truncated
 

@@ -21,13 +21,7 @@ import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Tuple
 
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
-    RootBracket,
-    find_root,
-    integrate_semi_infinite,
-)
+from .numerics import RootBracket, find_root, integrate_semi_infinite
 
 __all__ = [
     "Problem",
@@ -37,11 +31,14 @@ __all__ = [
     "builtin",
     "american_put",
     "remove_drift",
-    "h_tilde_local",
     "load_problem_file",
     "numeric_laplace",
     "smooth_fit_b_inf",
 ]
+
+
+# Root tolerance of :func:`smooth_fit_b_inf`.
+_SMOOTH_FIT_TOL = 1e-12
 
 
 class UnsupportedRegimeError(ValueError):
@@ -156,7 +153,6 @@ def numeric_laplace(
     h_tilde: Callable[[float], float],
     atoms: Tuple[Tuple[float, float], ...] = (),
     growth: float = 0.0,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> Callable[[float], float]:
     """Build ``c -> integral_{-inf}^0 exp(c*y) dh_tilde(y)`` by quadrature."""
 
@@ -166,9 +162,7 @@ def numeric_laplace(
             raise ValueError(
                 f"kernel parameter {c} does not dominate the payoff growth {growth}"
             )
-        val = integrate_semi_infinite(
-            lambda y: math.exp(c * y) * h_tilde(y), 0.0, -1, decay, spec
-        )
+        val = integrate_semi_infinite(lambda y: math.exp(c * y) * h_tilde(y), 0.0, -1, decay)
         for loc, w in atoms:
             if loc <= 0.0:
                 val += w * math.exp(c * loc)
@@ -181,7 +175,6 @@ def smooth_fit_b_inf(
     h: Callable[[float], float],
     r: float,
     bracket: Tuple[float, float] = (1e-6, 20.0),
-    tol: float = 1e-12,
 ) -> float:
     """Infinite-horizon boundary from the smooth-pasting condition.
 
@@ -198,7 +191,7 @@ def smooth_fit_b_inf(
         return hp - s * h(b)
 
     lo, hi = bracket
-    return find_root(g, RootBracket(lo, hi, g(lo), g(hi)), tol)
+    return find_root(g, RootBracket(lo, hi, g(lo), g(hi)), _SMOOTH_FIT_TOL)
 
 
 def _linear() -> Problem:
@@ -368,11 +361,6 @@ def remove_drift(p: DriftedProblem) -> Problem:
         b_inf_unbounded=True,
         h_tilde_growth=max(0.0, -mu) + 1e-9,
     )
-
-
-def h_tilde_local(p: Problem) -> Tuple[float, float]:
-    """Declared local power and coefficient ratio of ``h_tilde`` at 0."""
-    return p.beta, p.m_ratio
 
 
 # name: (function, fewest arguments, most arguments)

@@ -55,7 +55,6 @@ from .fredholm import BoundaryGrid, CGrid, ResidualVector
 from .problem import Problem
 
 __all__ = [
-    "SolverConfig",
     "SolveReport",
     "NotConvergedError",
     "InsufficientDataError",
@@ -64,7 +63,7 @@ __all__ = [
     "asymptotic_check",
 ]
 
-_SEED_MODES = ("asymptotic", "envelope_midpoint", "custom")
+_SEED_MODES = ("asymptotic", "envelope_midpoint")
 
 # A polished boundary is accepted when its normalized residual
 # max|R| / max|lap| is at or below this bound.  For `linear` and puts with
@@ -77,6 +76,10 @@ RESIDUAL_TOLERANCE = 5e-3
 VALUE_TOLERANCE = 1e-10
 # Points of the coarse scan that starts each node's line search in a sweep.
 SCAN_POINTS = 25
+# Descent also stalls on a sweep that moves no node by this much.
+COORDINATE_TOLERANCE = 1e-7
+# Coordinate-descent sweeps before a solve ends on its budget.
+MAX_SWEEPS = 500
 
 
 class NotConvergedError(RuntimeError):
@@ -87,51 +90,22 @@ class InsufficientDataError(ValueError):
     """Too few usable nodes for the requested fit."""
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Iteration budget, stopping tolerances and seeding mode.
-
-    ``max_iterations`` caps the coordinate-descent sweeps; with the polish
-    on, a solve normally ends with no sweep at all, when the seed's polish
-    meets :data:`RESIDUAL_TOLERANCE`.  Descent stalls when a sweep
-    moves no node by ``coordinate_tolerance`` or more, or lowers the
-    objective by less than :data:`VALUE_TOLERANCE`.  ``polish=False`` runs
-    descent alone, until it stalls or the budget runs out.
-    """
-
-    max_iterations: int = 500
-    coordinate_tolerance: float = 1e-7
-    seed_mode: str = "asymptotic"
-    polish: bool = True
-    custom_seed: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-        if self.coordinate_tolerance <= 0.0:
-            raise ValueError("coordinate_tolerance must be strictly positive")
-        if self.seed_mode not in _SEED_MODES:
-            raise ValueError(f"seed_mode must be one of {_SEED_MODES}")
-        if self.seed_mode == "custom" and self.custom_seed is None:
-            raise ValueError("custom seed_mode requires custom_seed values")
-
-
 @dataclass
 class SolveReport:
     """Solved grid with the optimization trace, final residuals and how it stopped.
 
-    ``converged`` holds exactly when the returned boundary's normalized
-    residual ``max_residual`` is at or below :data:`RESIDUAL_TOLERANCE` and
-    either a polished point was accepted (``convergence_reason`` is
-    ``residual_bound``) or, with the polish off, descent stalled
-    (``stalled``).  ``budget`` means the sweep budget ran out first.
+    ``converged`` holds exactly when a polished point whose normalized
+    residual ``max_residual`` is at or below :data:`RESIDUAL_TOLERANCE` was
+    accepted (``convergence_reason`` is ``residual_bound``).  ``stalled``
+    means descent stalled and the polish there missed the bound; ``budget``
+    means the :data:`MAX_SWEEPS` sweeps ran out first.
     ``descent_exhausted`` records that descent used every sweep of its
     budget without stalling.  ``polish_status`` and ``polish_nfev`` are the
     least-squares status and function-evaluation count of the accepted
     polish (``None`` when none was accepted).  ``prior_B`` is the small-y
-    coefficient ``B`` of the asymptotic prior ``-B * y**2`` that seeded or
-    pulled the solve (``None`` when neither the polish nor the asymptotic
-    seed ran), so a caller need not solve for it again.
+    coefficient ``B`` of the asymptotic prior ``-B * y**2`` that pulled the
+    polish (and seeded the solve in ``asymptotic`` mode), so a caller need
+    not solve for it again.
 
     ``iterations`` counts the sweeps run: 0 when the seed's polish was
     accepted.  ``objective_trace`` holds the surrogate objective (on the
@@ -172,29 +146,28 @@ def _asymptotic_values(
 
 
 def seed(
-    p: Problem, envelope: BoundaryEnvelope, cfg: SolverConfig = SolverConfig()
+    p: Problem, envelope: BoundaryEnvelope, seed_mode: str = "asymptotic"
 ) -> BoundaryGrid:
     """Initial boundary grid inside the envelope.
 
     ``asymptotic`` mode clamps ``-B * y**2`` (with ``B`` from the problem's
     local payoff power) into the envelope; ``envelope_midpoint`` takes the
-    pointwise midpoint; ``custom`` takes user-supplied values, clamped.
+    pointwise midpoint.  Any other mode raises ``ValueError``.
     """
-    prior = _asymptotic_values(p, envelope) if cfg.seed_mode == "asymptotic" else None
-    return _seed_from(envelope, cfg, prior)
+    prior = _asymptotic_values(p, envelope) if seed_mode == "asymptotic" else None
+    return _seed_from(envelope, seed_mode, prior)
 
 
 def _seed_from(
-    envelope: BoundaryEnvelope, cfg: SolverConfig, prior: Optional[np.ndarray]
+    envelope: BoundaryEnvelope, seed_mode: str, prior: Optional[np.ndarray]
 ) -> BoundaryGrid:
     """:func:`seed` with the ``asymptotic`` values ``prior`` already computed."""
-    lo, up = envelope.lower.values, envelope.upper.values
-    if cfg.seed_mode == "asymptotic":
+    if seed_mode == "asymptotic":
         vals = prior
-    elif cfg.seed_mode == "envelope_midpoint":
-        vals = 0.5 * (lo + up)
+    elif seed_mode == "envelope_midpoint":
+        vals = 0.5 * (envelope.lower.values + envelope.upper.values)
     else:
-        vals = np.clip(np.asarray(cfg.custom_seed, dtype=float), lo, up)
+        raise ValueError(f"seed_mode must be one of {_SEED_MODES}")
     return envelope.lower.with_values(_monotone_down(np.minimum(vals, 0.0)))
 
 
@@ -399,8 +372,7 @@ def _polish_problem(
 
     def fun(x):
         dd = np.concatenate([[0.0], x])
-        E = np.exp(np.minimum(gam[:, None] * dd[None, :], 700.0))
-        return math.sqrt(2.0) * c2 * (lapn + (E * Wn).sum(axis=1))
+        return math.sqrt(2.0) * c2 * _kernels.residuals(lapn, Wn, gam, dd)
 
     def jac(x):
         E = np.exp(np.minimum(gam[:, None] * x[None, :], 700.0))
@@ -455,7 +427,7 @@ def solve(
     p: Problem,
     cgrid: CGrid,
     envelope: BoundaryEnvelope,
-    cfg: SolverConfig = SolverConfig(),
+    seed_mode: str = "asymptotic",
 ) -> SolveReport:
     """Minimize the penalized residual objective inside the envelope.
 
@@ -463,7 +435,8 @@ def solve(
     It reads the first ``len(cgrid)`` rows of ``envelope.tabulation``, whose
     parameters must start with ``cgrid``'s (``ValueError`` otherwise).
     Deterministic for fixed inputs.  ``converged=False`` (not an exception)
-    reports a solve that never met the residual bound.
+    reports a solve that never met the residual bound.  ``seed_mode`` is
+    as for :func:`seed`.
     """
     cgrid.require_admissible(p)
     tab = envelope.tabulation.leading(cgrid)
@@ -471,13 +444,9 @@ def solve(
     lower = envelope.lower.values.copy()
     upper = np.minimum(envelope.upper.values, 0.0)
     # One prior serves as the asymptotic seed and as the polish's pull.
-    prior_B = (
-        solve_B(p.beta, p.m_ratio).B
-        if cfg.polish or cfg.seed_mode == "asymptotic"
-        else None
-    )
-    prior = None if prior_B is None else _asymptotic_values(p, envelope, prior_B)
-    d = _seed_from(envelope, cfg, prior).values.copy()
+    prior_B = solve_B(p.beta, p.m_ratio).B
+    prior = _asymptotic_values(p, envelope, prior_B)
+    d = _seed_from(envelope, seed_mode, prior).values.copy()
     d[-1] = lower[-1]  # held: the residual loses all sensitivity to it
 
     lap, W, gam, c2 = tab.lap, tab.W, tab.gam, tab.c2
@@ -494,18 +463,14 @@ def solve(
     fit = None
     stalled = False
     # Step 0 runs no sweep: it polishes the seed.
-    for sweeps in range(cfg.max_iterations + 1):
+    for sweeps in range(MAX_SWEEPS + 1):
         if sweeps:
             obj, max_move = _kernels.sweep(
                 lapn, Wn, gam, c2, d, lower, upper, SCAN_POINTS, 1e-9
             )
-            stalled = (
-                max_move < cfg.coordinate_tolerance or trace[-1] - obj < VALUE_TOLERANCE
-            )
+            stalled = max_move < COORDINATE_TOLERANCE or trace[-1] - obj < VALUE_TOLERANCE
             trace.append(float(obj))
-        if cfg.polish and (
-            stalled or sweeps == cfg.max_iterations or _polish_due(sweeps)
-        ):
+        if stalled or sweeps == MAX_SWEEPS or _polish_due(sweeps):
             polished, result = _polish(d, lapn, Wn, gam, c2, prior, nodes, p.b_inf, t_max)
             polished = _monotone_down(np.clip(polished, lower, upper))
             polished[-1] = lower[-1]
@@ -523,13 +488,7 @@ def solve(
         if new_obj <= trace[-1]:
             trace.append(new_obj)
     max_residual = _max_residual(lapn, Wn, gam, d)
-    if fit is not None:
-        reason, converged = "residual_bound", True
-    elif stalled:
-        reason = "stalled"
-        converged = not cfg.polish and max_residual <= RESIDUAL_TOLERANCE
-    else:
-        reason, converged = "budget", False
+    reason = "residual_bound" if fit is not None else "stalled" if stalled else "budget"
 
     grid = envelope.lower.with_values(d)
     return SolveReport(
@@ -537,10 +496,10 @@ def solve(
         objective_trace=trace,
         residual_vector=tab.residual_vector(grid),
         iterations=sweeps,
-        converged=converged,
+        converged=fit is not None,
         max_residual=max_residual,
         convergence_reason=reason,
-        descent_exhausted=sweeps == cfg.max_iterations and not stalled,
+        descent_exhausted=sweeps == MAX_SWEEPS and not stalled,
         polish_status=None if fit is None else int(fit.status),
         polish_nfev=None if fit is None else int(fit.nfev),
         prior_B=prior_B,

@@ -33,11 +33,9 @@ def _setup(p, n_nodes=60, n_c=40, iterations=3):
     )
 
 
-def _solve(setup, **cfg_kwargs):
+def _solve(setup, seed_mode="asymptotic"):
     t0 = time.perf_counter()
-    report = solver.solve(
-        setup.problem, setup.cgrid, setup.envelope, solver.SolverConfig(**cfg_kwargs)
-    )
+    report = solver.solve(setup.problem, setup.cgrid, setup.envelope, seed_mode)
     return report, time.perf_counter() - t0
 
 

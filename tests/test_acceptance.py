@@ -238,8 +238,8 @@ def test_criterion_8_property_suite(linear_problem):
     nodes = BoundaryGrid.uniform(linear_problem, 16).nodes
     cgrid = CGrid.for_problem(linear_problem, 10)
     env = bounds_mod.iterate(linear_problem, nodes, cgrid, 1)
-    s1 = solver.solve(linear_problem, cgrid, env, solver.SolverConfig())
-    s2 = solver.solve(linear_problem, cgrid, env, solver.SolverConfig())
+    s1 = solver.solve(linear_problem, cgrid, env)
+    s2 = solver.solve(linear_problem, cgrid, env)
     solve_ok = np.array_equal(s1.grid.values, s2.grid.values)
 
     elapsed = time.perf_counter() - t0
@@ -270,7 +270,7 @@ def test_criterion_9_american_put(
             np.abs(rep.grid.values - put_solution_midpoint.report.grid.values)
         )
     )
-    multistart_tol = 10.0 * solver.SolverConfig().coordinate_tolerance
+    multistart_tol = 10.0 * solver.COORDINATE_TOLERANCE
     seconds = (
         put_solution.env_seconds
         + put_solution.seconds

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from stopbound import bounds as bounds_mod
 from stopbound.bounds import (
-    DEFAULT_BISECTION_TOL,
+    BISECTION_TOL,
     BoundaryEnvelope,
     extended_cvalues,
     initial_envelope,
@@ -159,7 +160,7 @@ class TestLockstepMatchesScalarBisection:
     def test_steps_bit_equal(self, label, grid):
         p = self.PROBLEMS[label]()
         n_nodes, n_c = grid
-        tol, t_max = DEFAULT_BISECTION_TOL, 50.0 / p.r  # the defaults
+        tol, t_max = BISECTION_TOL, 50.0 / p.r  # the defaults
         nodes = BoundaryGrid.uniform(p, n_nodes).nodes
         env = initial_envelope(p, nodes, CGrid.for_problem(p, n_c))
         tab = env.tabulation
@@ -177,21 +178,22 @@ class TestLockstepMatchesScalarBisection:
         assert np.array_equal(low.values, ref_low)
         assert np.array_equal(trunc, ref_trunc)
 
-    def test_small_t_max_truncates(self, linear, env0):
+    def test_small_t_max_truncates(self, linear, env0, monkeypatch):
         # Levels of about 1 are certified at the middle nodes, so a range of
         # [-1, 0] truncates the deeper half of the nodes.
         tab, t_max = env0.tabulation, 1.0
+        monkeypatch.setattr(bounds_mod, "_default_t_max", lambda p: t_max)
         zero = env0.upper
-        low, trunc = lower_step(linear, zero, tab, t_max=t_max)
-        ref_low, ref_trunc = reference_lower_step(tab, zero, DEFAULT_BISECTION_TOL, t_max)
+        low, trunc = lower_step(linear, zero, tab)
+        ref_low, ref_trunc = reference_lower_step(tab, zero, BISECTION_TOL, t_max)
         assert 1 < trunc.sum() < N_NODES - 1  # some nodes truncate, not all
         assert np.array_equal(trunc, ref_trunc)
         assert np.array_equal(low.values, ref_low)
         assert np.all(low.values[trunc] == -t_max)
 
-        up = upper_step(linear, low, tab, t_max=t_max)
+        up = upper_step(linear, low, tab)
         assert np.array_equal(
-            up.values, reference_upper_step(tab, low, DEFAULT_BISECTION_TOL, t_max)
+            up.values, reference_upper_step(tab, low, BISECTION_TOL, t_max)
         )
 
     def test_failing_upper_bound_falls_back(self, linear, env0):
@@ -201,7 +203,7 @@ class TestLockstepMatchesScalarBisection:
         assert np.min(residuals(env0.tabulation, deep.values[:-1])) < 0.0
         low, trunc = lower_step(linear, deep, env0.tabulation)
         ref_low, ref_trunc = reference_lower_step(
-            env0.tabulation, deep, DEFAULT_BISECTION_TOL, 50.0 / linear.r
+            env0.tabulation, deep, BISECTION_TOL, 50.0 / linear.r
         )
         assert np.array_equal(low.values, deep.values)
         assert np.array_equal(low.values, ref_low)
@@ -214,7 +216,7 @@ class TestLockstepMatchesScalarBisection:
         shallow = env0.lower.with_values(0.5 * up.values)
         got = upper_step(linear, shallow, env0.tabulation)
         ref = reference_upper_step(
-            env0.tabulation, shallow, DEFAULT_BISECTION_TOL, 50.0 / linear.r
+            env0.tabulation, shallow, BISECTION_TOL, 50.0 / linear.r
         )
         assert np.array_equal(got.values, ref)
         assert np.array_equal(got.values, shallow.values)

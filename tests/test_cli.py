@@ -178,10 +178,7 @@ class TestSolve:
         # No polished point can meet a zero residual bound, and two sweeps
         # cannot stall: the solve ends unconverged on its budget.
         monkeypatch.setattr(solver, "RESIDUAL_TOLERANCE", 0.0)
-        monkeypatch.setattr(
-            cli, "_solver_config",
-            lambda args, **kw: solver.SolverConfig(max_iterations=2, **kw),
-        )
+        monkeypatch.setattr(solver, "MAX_SWEEPS", 2)
         rc = cli.main(
             [command, "--problem", "linear", "--nodes", "12", "--cvals", "8",
              "--out-dir", str(tmp_path)]
@@ -265,27 +262,74 @@ class TestConfigAndManifest:
         assert ma == mb
 
     def test_tolerance_manifest_round_trip(self, tmp_path, capsys):
-        # A manifest names every option, --tolerance included, and may name
-        # options since removed (seed): passed back, it reproduces the run.
+        # A manifest names every option, and one passed back reproduces the
+        # run; an older manifest may name options since removed (tolerance,
+        # seed), which replay skips.
         first, second = tmp_path / "a", tmp_path / "b"
-        argv = ["solve", "--problem", "linear", "--nodes", "12", "--cvals", "8",
-                "--tolerance", "1e-8"]
+        argv = ["solve", "--problem", "linear", "--nodes", "12", "--cvals", "8"]
         rc1 = cli.main(argv + ["--out-dir", str(first)])
         manifest = (first / "manifest.txt").read_text()
-        assert "tolerance=1e-08\n" in manifest
+        assert "\ntolerance=" not in manifest
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(manifest + "seed=0\n")
+        cfg.write_text(manifest + "tolerance=1e-08\nseed=0\n")
         rc2 = cli.main(["solve", "--config", str(cfg), "--out-dir", str(second)])
         assert rc1 == rc2 == cli.EXIT_OK
         for name in ("boundary.csv", "trace.csv", "residuals.csv", "plot.dat"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
         assert (second / "manifest.txt").read_text() == manifest.replace(str(first), str(second))
 
+    def test_old_constants_manifest_replays(self, tmp_path, capsys):
+        # constants manifests once named the problem and grid options.
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert cli.main(["constants", "--beta", "0.5", "--m-ratio", "2",
+                         "--out-dir", str(first)]) == cli.EXIT_OK
+        manifest = (first / "manifest.txt").read_text()
+        assert "\nnodes=" not in manifest and "\nproblem=" not in manifest
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(manifest + "cvals=40\nnodes=60\nproblem=\nproblem_file=\n"
+                       "rho=1.0\ntheta=0.5\ntolerance=\n")
+        assert cli.main(["constants", "--config", str(cfg),
+                         "--out-dir", str(second)]) == cli.EXIT_OK
+        assert (first / "constants.csv").read_bytes() == (second / "constants.csv").read_bytes()
+
+    # The flags each command reads, with a valid value for each.
+    FLAG_VALUES = {
+        "--beta": "1", "--m-ratio": "1", "--problem": "linear", "--problem-file": "p.txt",
+        "--rho": "1", "--theta": "0.5", "--nodes": "10", "--cvals": "4", "--iterations": "1",
+        "--seed-mode": "asymptotic", "--t-min": "-1", "--t-steps": "64", "--x-steps": "64",
+        "--boundary": "b.csv", "--out-dir": ".", "--config": "run.cfg",
+    }
+    PROBLEM_FLAGS = ("--problem", "--problem-file", "--rho", "--theta", "--nodes")
+    OUTPUT_FLAGS = ("--out-dir", "--config")
+    COMMAND_FLAGS = {
+        "constants": ("--beta", "--m-ratio") + OUTPUT_FLAGS,
+        "solve": PROBLEM_FLAGS + ("--cvals", "--iterations", "--seed-mode") + OUTPUT_FLAGS,
+        "bounds": PROBLEM_FLAGS + ("--cvals", "--iterations") + OUTPUT_FLAGS,
+        "verify": PROBLEM_FLAGS + ("--cvals", "--t-min", "--t-steps", "--x-steps")
+        + OUTPUT_FLAGS,
+        "oracle": PROBLEM_FLAGS + ("--t-min", "--t-steps", "--x-steps") + OUTPUT_FLAGS,
+        "residuals": PROBLEM_FLAGS + ("--cvals", "--boundary") + OUTPUT_FLAGS,
+    }
+
+    def test_each_command_takes_the_flags_it_reads(self):
+        parser = cli._build_parser()
+        for command, flags in self.COMMAND_FLAGS.items():
+            argv = [command]
+            for flag in flags:
+                argv += [flag, self.FLAG_VALUES[flag]]
+            args = parser.parse_args(argv)
+            assert len(vars(args)) == len(flags) + 1, command  # and the subcommand
+
     def test_t_min_only_where_a_lattice_runs(self, tmp_path, capsys):
-        for command in ("solve", "bounds", "residuals", "constants"):
-            rc = cli.main([command, "--problem", "linear", "--t-min", "-3",
-                           "--out-dir", str(tmp_path)])
-            assert rc == cli.EXIT_USAGE, command
+        # Every command rejects, as a usage error, each flag it does not read:
+        # --t-min outside verify and oracle, and --tolerance everywhere.
+        for command, flags in self.COMMAND_FLAGS.items():
+            others = [f for f in self.FLAG_VALUES if f not in flags] + ["--tolerance"]
+            assert ("--t-min" in others) == (command not in ("verify", "oracle"))
+            for flag in others:
+                rc = cli.main([command, flag, "1", "--out-dir", str(tmp_path)])
+                assert rc == cli.EXIT_USAGE, (command, flag)
+                assert "unrecognized arguments" in capsys.readouterr().err, (command, flag)
 
     def test_old_manifest_with_t_min_replays(self, tmp_path, capsys):
         # Solve manifests once named t_min; the key is skipped on replay.
@@ -302,10 +346,10 @@ class TestConfigAndManifest:
 
     def test_bad_config_value_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("problem = linear\ntolerance = tight\n")
+        cfg.write_text("problem = linear\nnodes = many\n")
         rc = cli.main(["residuals", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert rc == cli.EXIT_USAGE
-        assert "--tolerance" in capsys.readouterr().err
+        assert "--nodes" in capsys.readouterr().err
 
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -231,7 +231,7 @@ class TestTabulatedOnce:
         nodes = BoundaryGrid.uniform(linear, 12).nodes
         env = bounds_mod.initial_envelope(linear, nodes, CGrid.for_problem(linear, 6))
         with pytest.raises(ValueError):
-            solver.solve(linear, CGrid.for_problem(linear, 6, step=0.2), env)
+            solver.solve(linear, CGrid(linear.c_min + 0.2 * np.arange(1, 7)), env)
         with pytest.raises(ValueError):
             env.tabulation.leading(CGrid.for_problem(linear, 20))
 

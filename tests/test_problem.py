@@ -12,7 +12,6 @@ from stopbound.problem import (
     UnsupportedRegimeError,
     american_put,
     builtin,
-    h_tilde_local,
     load_problem_file,
     numeric_laplace,
     remove_drift,
@@ -46,9 +45,6 @@ class TestBuiltins:
         assert p.b_inf_unbounded
         assert p.h(2.0) == pytest.approx(-8.0 / 3.0)
         assert p.h_tilde(0.5) == pytest.approx(0.5)
-
-    def test_local_power(self):
-        assert h_tilde_local(builtin("linear")) == (1.0, 1.0)
 
 
 class TestAmericanPut:

@@ -28,19 +28,14 @@ def _wide_envelope(linear, n_nodes=20, depth=-40.0):
     )
 
 
-class TestSolverConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            solver.SolverConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            solver.SolverConfig(coordinate_tolerance=0.0)
-        with pytest.raises(ValueError):
-            solver.SolverConfig(seed_mode="mystery")
-        with pytest.raises(ValueError):
-            solver.SolverConfig(seed_mode="custom")
-
-
 class TestSeed:
+    def test_unknown_mode_rejected(self, linear):
+        env = _wide_envelope(linear)
+        with pytest.raises(ValueError):
+            solver.seed(linear, env, "mystery")
+        with pytest.raises(ValueError):
+            solver.solve(linear, CGrid.for_problem(linear, 4), env, "custom")
+
     def test_asymptotic_mode_tracks_quadratic(self, linear):
         env = _wide_envelope(linear)
         g = solver.seed(linear, env)
@@ -51,34 +46,23 @@ class TestSeed:
 
     def test_midpoint_mode(self, linear):
         env = _wide_envelope(linear, depth=-2.0)
-        g = solver.seed(linear, env, solver.SolverConfig(seed_mode="envelope_midpoint"))
+        g = solver.seed(linear, env, "envelope_midpoint")
         assert np.all(g.values[1:] == -1.0)
-
-    def test_custom_mode_clamps(self, linear):
-        env = _wide_envelope(linear, depth=-2.0)
-        custom = np.linspace(1.0, -50.0, len(env.lower))
-        g = solver.seed(
-            linear,
-            env,
-            solver.SolverConfig(seed_mode="custom", custom_seed=custom),
-        )
-        assert np.all(g.values <= 0.0)
-        assert np.all(g.values >= env.lower.values)
-        assert np.all(np.diff(g.values) <= 0.0)
 
 
 class TestSolveSingleFreeNode:
     def test_matches_scalar_minimizer(self, linear):
-        # three nodes leave exactly one free value; the descent phase must
+        # three nodes leave exactly one free value; a descent sweep must
         # agree with a direct bounded scalar minimization of the objective
         nodes = BoundaryGrid.uniform(linear, 3).nodes
         cgrid = CGrid.for_problem(linear, 5)
         env = bounds_mod.initial_envelope(linear, nodes, cgrid)
-        cfg = solver.SolverConfig(polish=False, coordinate_tolerance=1e-10)
-        report = solver.solve(linear, cgrid, env, cfg)
-
+        tab = env.tabulation.leading(cgrid)
         lo = env.lower.values[1]
         hi = min(env.upper.values[1], 0.0)
+        d = np.array([0.0, 0.5 * (lo + hi), env.lower.values[-1]])
+        upper = np.minimum(env.upper.values, 0.0)
+        obj, _max_move = _kernels.sweep(tab.lap, tab.W, tab.gam, tab.c2, d, env.lower.values, upper)
 
         def scalar(t):
             vals = np.array([0.0, t, env.lower.values[-1]])
@@ -86,8 +70,8 @@ class TestSolveSingleFreeNode:
 
         ref = minimize_scalar(scalar, bounds=(lo, hi), method="bounded",
                               options={"xatol": 1e-12})
-        assert report.grid.values[1] == pytest.approx(ref.x, abs=1e-6)
-        assert report.objective <= ref.fun + 1e-9
+        assert d[1] == pytest.approx(ref.x, abs=1e-6)
+        assert obj <= ref.fun + 1e-9
 
 
 class TestFullSolve:
@@ -116,7 +100,7 @@ class TestFullSolve:
             nodes = BoundaryGrid.uniform(p, 30).nodes
             cgrid = CGrid.for_problem(p, 20)
             env = bounds_mod.iterate(p, nodes, cgrid, 3)
-            return solver.solve(p, cgrid, env, solver.SolverConfig())
+            return solver.solve(p, cgrid, env)
 
         a = reduced(linear)
         b = reduced(linear.scaled(7.0))
@@ -173,8 +157,9 @@ class TestSweepPolishSchedule:
         # (injected) must leave the solve unconverged.
         p, cgrid, env = linear30
         monkeypatch.setattr(solver, "_polish_due", lambda k: k == 4)
+        monkeypatch.setattr(solver, "MAX_SWEEPS", 4)
         calls = _first_polish_misses(monkeypatch)
-        rep = solver.solve(p, cgrid, env, solver.SolverConfig(max_iterations=4))
+        rep = solver.solve(p, cgrid, env)
         assert len(calls) == 1
         assert not rep.converged
         assert rep.convergence_reason == "budget" and rep.descent_exhausted
@@ -194,7 +179,7 @@ class TestSweepPolishSchedule:
     @pytest.mark.parametrize("mode", ["asymptotic", "envelope_midpoint"])
     def test_converged_meets_residual_bound(self, linear30, mode):
         p, cgrid, env = linear30
-        rep = solver.solve(p, cgrid, env, solver.SolverConfig(seed_mode=mode))
+        rep = solver.solve(p, cgrid, env, mode)
         assert rep.converged and rep.convergence_reason == "residual_bound"
         assert rep.max_residual <= solver.RESIDUAL_TOLERANCE
         assert rep.polish_status > 0 and rep.polish_nfev > 0
@@ -209,23 +194,17 @@ class TestSweepPolishSchedule:
     def test_polish_that_misses_the_bound_is_not_convergence(self, linear30, monkeypatch):
         p, cgrid, env = linear30
         monkeypatch.setattr(solver, "RESIDUAL_TOLERANCE", 1e-12)
-        rep = solver.solve(p, cgrid, env, solver.SolverConfig(max_iterations=3))
+        monkeypatch.setattr(solver, "MAX_SWEEPS", 3)
+        rep = solver.solve(p, cgrid, env)
         assert not rep.converged and rep.convergence_reason == "budget"
         assert rep.polish_status is None
 
-    def test_descent_alone_does_not_converge_on_budget(self, linear30):
-        p, cgrid, env = linear30
-        rep = solver.solve(
-            p, cgrid, env, solver.SolverConfig(max_iterations=3, polish=False)
-        )
-        assert rep.iterations == 3
-        assert not rep.converged and rep.convergence_reason == "budget"
-
-    def test_sweep_budgets_agree(self, linear30):
+    def test_sweep_budgets_agree(self, linear30, monkeypatch):
         p, cgrid, env = linear30
         boundaries = []
         for budget in range(1, 7):
-            rep = solver.solve(p, cgrid, env, solver.SolverConfig(max_iterations=budget))
+            monkeypatch.setattr(solver, "MAX_SWEEPS", budget)
+            rep = solver.solve(p, cgrid, env)
             assert rep.converged
             boundaries.append(rep.grid.values)
         for values in boundaries:
@@ -398,7 +377,8 @@ class TestLeastSquares:
             return result
 
         monkeypatch.setattr(solver, "least_squares", starved)
-        rep = solver.solve(p, cgrid, env, solver.SolverConfig(max_iterations=2))
+        monkeypatch.setattr(solver, "MAX_SWEEPS", 2)
+        rep = solver.solve(p, cgrid, env)
         assert statuses == [0, 0, 0]  # the polishes at sweeps 0, 1 and 2
         assert not rep.converged and rep.convergence_reason == "budget"
         assert rep.polish_status is None and rep.polish_nfev is None
