@@ -1,7 +1,9 @@
 """Performance-critical numerical kernels, one NumPy implementation each.
 
-The solver and the envelope read ``residuals``, ``surrogate_objective`` and
-``sweep``; the oracle reads ``dp_backward`` and ``mc_first_crossing``.
+The solver and the envelope read ``residuals`` and ``surrogate_objective``;
+the oracle reads ``dp_backward`` and ``mc_first_crossing``.  ``sweep``, the
+coordinate descent that the solver no longer runs, stays only because the
+benchmark's tracer still reports its call site.
 Callers look every kernel up as an attribute of this module, so a profiler
 can wrap it in one place.  ``dp_backward`` loops over time slices, each
 step one sparse matvec (a stencil with no stored zeros) and four passes

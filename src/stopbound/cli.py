@@ -232,7 +232,7 @@ def _print_convergence(report: solver.SolveReport) -> None:
     print(f"max normalized residual {report.max_residual:.3e}"
           f" (tolerance {solver.RESIDUAL_TOLERANCE:.0e})")
     print(f"convergence reason {report.convergence_reason},"
-          f" descent exhausted: {report.descent_exhausted}")
+          f" polishes run: {report.polishes}")
     print(f"polish status {report.polish_status}, nfev {report.polish_nfev}")
 
 
@@ -250,7 +250,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     _write_csv(
         args.out_dir,
         "trace.csv",
-        ["sweep", "objective"],
+        ["step", "objective"],
         enumerate(report.objective_trace),
     )
     rv = report.residual_vector
@@ -266,8 +266,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"fitted small-y coefficient B = {fitted:.4f}")
     except (solver.NotConvergedError, solver.InsufficientDataError) as exc:
         print(f"asymptotic check unavailable: {exc}")
-    print(f"objective {report.objective:.10f} after {report.iterations} sweeps"
-          f" (converged: {report.converged})")
+    print(f"objective {report.objective:.10f} (converged: {report.converged})")
     _print_convergence(report)
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 

@@ -88,9 +88,6 @@ class Problem:
         True when normalization mirrored the axis.
     atoms : tuple of (location, weight)
         Point masses of ``h_tilde``.
-    h_tilde_growth : float
-        Exponential growth rate of ``h_tilde(y)`` as ``y -> -inf`` (0 for
-        polynomially bounded payoffs); used to pick quadrature cutoffs.
     """
 
     label: str
@@ -104,7 +101,6 @@ class Problem:
     flip: bool = False
     h: Optional[Callable[[float], float]] = None
     atoms: Tuple[Tuple[float, float], ...] = ()
-    h_tilde_growth: float = 0.0
     b_inf_unbounded: bool = False
 
     def __post_init__(self):
@@ -174,14 +170,15 @@ def numeric_laplace(
 def smooth_fit_b_inf(
     h: Callable[[float], float],
     r: float,
-    bracket: Tuple[float, float] = (1e-6, 20.0),
+    bracket: Tuple[float, float],
 ) -> float:
     """Infinite-horizon boundary from the smooth-pasting condition.
 
     For a one-sided perpetual problem stopped on ``[b, inf)`` the value below
     the boundary is ``h(b) * exp(sqrt(2r) (y - b))``; pasting the derivative
     gives ``h'(b) = sqrt(2r) * h(b)``.  ``h'`` is taken by central
-    differences, so ``h`` must be smooth near the root.
+    differences, so ``h`` must be smooth near the root, which ``bracket``
+    must enclose.
     """
     s = math.sqrt(2.0 * r)
     eps = 1e-7
@@ -307,7 +304,6 @@ def american_put(rho: float = 1.0, theta: float = 0.5) -> Problem:
         shift=z0,
         flip=True,
         atoms=((z0, -0.5 * rho),),
-        h_tilde_growth=0.0,
     )
 
 
@@ -359,7 +355,6 @@ def remove_drift(p: DriftedProblem) -> Problem:
         laplace_h_tilde=numeric_laplace(h_tilde, growth=max(0.0, -mu) + 1e-9),
         b_inf=math.inf,
         b_inf_unbounded=True,
-        h_tilde_growth=max(0.0, -mu) + 1e-9,
     )
 
 
@@ -479,7 +474,6 @@ def load_problem_file(path: str) -> Problem:
             m_ratio=float(kv.get("m_ratio", "1.0")),
             shift=float(kv.get("shift", "0.0")),
             atoms=atoms,
-            h_tilde_growth=growth,
         )
     except ValueError as exc:
         raise ProblemFileError(f"{path}: {exc}") from exc

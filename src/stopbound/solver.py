@@ -1,17 +1,8 @@
 """Boundary solver: penalized residual minimization over monotone grids.
 
-The discrete objective is minimized by a sweep-polish schedule.
-
-Sweeps are projected cyclic coordinate descent: each interior node is
-minimized over the interval allowed by the envelope and by its monotone
-neighbours (coarse scan plus golden-section refinement), and a move is
-accepted only when it does not increase the objective, so the objective
-trace is non-increasing by construction.
-
-Descent alone converges slowly and parks at a seed-dependent point of the
-zero-residual set: with more nodes than kernel parameters that set is a
-manifold, not a point.  A least-squares polish therefore minimizes the
-stacked system
+The discrete identity is underdetermined: with more nodes than kernel
+parameters its zero set is a manifold, not a point.  A least-squares
+polish therefore minimizes the stacked system
 
     [ residuals (scale-normalized) ;
       weak pull toward the small-y asymptote  -B * y**2 ;
@@ -26,25 +17,21 @@ N x N system, whose regularizer block is formed once per polish.  The
 polished values are projected back into the envelope and onto the
 monotone cone.
 
-The schedule first polishes the seed, before any sweep (step 0), then
-polishes from the current descent iterate after sweeps 1, 2, 4, 8, ...,
-when descent stalls and when the sweep budget runs out.  Descent only
-gives the polish a starting point: the seed's polish usually meets the
-bound, and then no sweep runs.  The first polished point whose normalized
-residual ``max|R| / max|lap|`` is at or below :data:`RESIDUAL_TOLERANCE`
-is the solution.  A polished point above it is discarded and descent
-continues from its own iterate: from a poor start (the seed, or too short
-a descent) the polish can land on a spurious point of the objective,
-whose residual sits one to two orders of magnitude above the true
-boundary's.  ``converged`` is reported only for a point that meets the
-residual bound (see :class:`SolveReport`).
+A solve polishes the requested seed.  The polished point is accepted when
+the polish stopped on a convergence test (status > 0) and its normalized
+residual ``max|R| / max|lap|`` is at or below :data:`RESIDUAL_TOLERANCE`;
+from a poor start a polish can land on a spurious point, whose residual
+sits one to two orders of magnitude above the true boundary's.  A missed
+polish is retried once from the other seed (``asymptotic`` and
+``envelope_midpoint`` swap).  ``converged`` is reported only for an
+accepted point (see :class:`SolveReport`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -63,23 +50,16 @@ __all__ = [
     "asymptotic_check",
 ]
 
-_SEED_MODES = ("asymptotic", "envelope_midpoint")
+# Each seed mode and the one a missed polish retries from.
+_OTHER_SEED = {"asymptotic": "envelope_midpoint", "envelope_midpoint": "asymptotic"}
 
 # A polished boundary is accepted when its normalized residual
 # max|R| / max|lap| is at or below this bound.  For `linear` and puts with
 # theta <= 0.5, on grids from 12 x 8 to 60 x 40, the polished boundary
 # measures 4e-5 to 3e-4 at 24 nodes and more and at most 2.6e-3 below; the
-# spurious points a polish reaches from too short a descent measure 1.9e-2
-# to 9e-2.
+# spurious points a polish reaches from a poor start measure 1.9e-2 to
+# 9e-2.
 RESIDUAL_TOLERANCE = 5e-3
-# Descent stalls on a sweep that lowers the objective by less than this.
-VALUE_TOLERANCE = 1e-10
-# Points of the coarse scan that starts each node's line search in a sweep.
-SCAN_POINTS = 25
-# Descent also stalls on a sweep that moves no node by this much.
-COORDINATE_TOLERANCE = 1e-7
-# Coordinate-descent sweeps before a solve ends on its budget.
-MAX_SWEEPS = 500
 
 
 class NotConvergedError(RuntimeError):
@@ -94,36 +74,34 @@ class InsufficientDataError(ValueError):
 class SolveReport:
     """Solved grid with the optimization trace, final residuals and how it stopped.
 
-    ``converged`` holds exactly when a polished point whose normalized
-    residual ``max_residual`` is at or below :data:`RESIDUAL_TOLERANCE` was
-    accepted (``convergence_reason`` is ``residual_bound``).  ``stalled``
-    means descent stalled and the polish there missed the bound; ``budget``
-    means the :data:`MAX_SWEEPS` sweeps ran out first.
-    ``descent_exhausted`` records that descent used every sweep of its
-    budget without stalling.  ``polish_status`` and ``polish_nfev`` are the
-    least-squares status and function-evaluation count of the accepted
-    polish (``None`` when none was accepted).  ``prior_B`` is the small-y
-    coefficient ``B`` of the asymptotic prior ``-B * y**2`` that pulled the
-    polish (and seeded the solve in ``asymptotic`` mode), so a caller need
-    not solve for it again.
+    ``converged`` holds exactly when a polished point was accepted: its
+    least-squares status is positive and its normalized residual
+    ``max_residual`` is at or below :data:`RESIDUAL_TOLERANCE`
+    (``convergence_reason`` is ``residual_bound``).  Otherwise both polishes
+    missed (``polish_missed``) and the grid is the polished point with the
+    smaller ``max_residual``.  ``polishes`` counts the polishes run: 1, or 2
+    when the polish of the requested seed missed and the other seed's ran.
+    ``polish_status`` and ``polish_nfev`` are the least-squares status and
+    function-evaluation count of the accepted polish (``None`` when none was
+    accepted).  ``prior_B`` is the small-y coefficient ``B`` of the
+    asymptotic prior ``-B * y**2`` that pulled the polish (and is the
+    ``asymptotic`` seed), so a caller need not solve for it again.
 
-    ``iterations`` counts the sweeps run: 0 when the seed's polish was
-    accepted.  ``objective_trace`` holds the surrogate objective (on the
-    scale-normalized residuals) of the seed, then after each sweep, then of
-    the accepted polish when that is lower; it never increases.
+    ``objective_trace`` holds the surrogate objective (on the
+    scale-normalized residuals) of the seed that ``grid`` was polished from,
+    then of ``grid`` when that is lower; it never increases.
     """
 
     grid: BoundaryGrid
     objective_trace: List[float]
     residual_vector: ResidualVector
-    iterations: int
+    polishes: int
     converged: bool
-    max_residual: float = math.nan
-    convergence_reason: str = "budget"
-    descent_exhausted: bool = False
-    polish_status: Optional[int] = None
-    polish_nfev: Optional[int] = None
-    prior_B: Optional[float] = None
+    max_residual: float
+    convergence_reason: str
+    polish_status: Optional[int]
+    polish_nfev: Optional[int]
+    prior_B: float
 
     @property
     def objective(self) -> float:
@@ -167,7 +145,7 @@ def _seed_from(
     elif seed_mode == "envelope_midpoint":
         vals = 0.5 * (envelope.lower.values + envelope.upper.values)
     else:
-        raise ValueError(f"seed_mode must be one of {_SEED_MODES}")
+        raise ValueError(f"seed_mode must be one of {tuple(_OTHER_SEED)}")
     return envelope.lower.with_values(_monotone_down(np.minimum(vals, 0.0)))
 
 
@@ -232,7 +210,7 @@ def least_squares(
       throw variables onto the bound.  Without it, 5 of 88 solves (`linear`
       and three puts on grids from 12 x 8 to 60 x 40, 2 and 3 envelope
       iterations, both seeds), all seeded at the envelope midpoint, polish
-      into a spurious point and need one more sweep.
+      into a spurious point that misses the residual bound.
     * Step: the velocity ``K vel = -g`` plus half the geodesic acceleration
       ``K acc = -Jᵀ r_vv`` (Transtrum & Sethna 2012), where ``r_vv`` is the
       second directional derivative of ``fun`` along the velocity, taken
@@ -414,9 +392,17 @@ def _polish(
     return out, result
 
 
-def _polish_due(sweeps: int) -> bool:
-    """Whether the schedule polishes after this many sweeps: 0, 1, 2, 4, 8, ..."""
-    return sweeps & (sweeps - 1) == 0
+class _Polished(NamedTuple):
+    """One polish of a seed: its start, the projected result and its ``max|R|``."""
+
+    start: np.ndarray
+    values: np.ndarray
+    result: LeastSquaresResult
+    max_residual: float
+
+    @property
+    def accepted(self) -> bool:
+        return self.result.status > 0 and self.max_residual <= RESIDUAL_TOLERANCE
 
 
 def _max_residual(lapn, Wn, gam, d: np.ndarray) -> float:
@@ -429,25 +415,22 @@ def solve(
     envelope: BoundaryEnvelope,
     seed_mode: str = "asymptotic",
 ) -> SolveReport:
-    """Minimize the penalized residual objective inside the envelope.
+    """Polish the seed inside the envelope; retry once from the other seed.
 
-    Runs the sweep-polish schedule described in the module docstring.
     It reads the first ``len(cgrid)`` rows of ``envelope.tabulation``, whose
     parameters must start with ``cgrid``'s (``ValueError`` otherwise).
     Deterministic for fixed inputs.  ``converged=False`` (not an exception)
-    reports a solve that never met the residual bound.  ``seed_mode`` is
-    as for :func:`seed`.
+    reports a solve whose polishes both missed the acceptance rule of the
+    module docstring.  ``seed_mode`` is as for :func:`seed`.
     """
     cgrid.require_admissible(p)
     tab = envelope.tabulation.leading(cgrid)
     nodes = envelope.lower.nodes
-    lower = envelope.lower.values.copy()
+    lower = envelope.lower.values
     upper = np.minimum(envelope.upper.values, 0.0)
     # One prior serves as the asymptotic seed and as the polish's pull.
     prior_B = solve_B(p.beta, p.m_ratio).B
     prior = _asymptotic_values(p, envelope, prior_B)
-    d = _seed_from(envelope, seed_mode, prior).values.copy()
-    d[-1] = lower[-1]  # held: the residual loses all sensitivity to it
 
     lap, W, gam, c2 = tab.lap, tab.W, tab.gam, tab.c2
     scale = float(np.max(np.abs(lap)))
@@ -456,52 +439,36 @@ def solve(
     lapn, Wn = lap / scale, W / scale
     t_max = _default_t_max(p)
 
-    def objective(values: np.ndarray) -> float:
-        return _kernels.surrogate_objective(lapn, Wn, gam, c2, values[:-1])
+    def polish_from(mode: str) -> _Polished:
+        start = _seed_from(envelope, mode, prior).values.copy()
+        start[-1] = lower[-1]  # held: the residual loses all sensitivity to it
+        polished, result = _polish(start, lapn, Wn, gam, c2, prior, nodes, p.b_inf, t_max)
+        polished = _monotone_down(np.clip(polished, lower, upper))
+        polished[-1] = lower[-1]
+        return _Polished(start, polished, result, _max_residual(lapn, Wn, gam, polished))
 
-    trace = [objective(d)]
-    fit = None
-    stalled = False
-    # Step 0 runs no sweep: it polishes the seed.
-    for sweeps in range(MAX_SWEEPS + 1):
-        if sweeps:
-            obj, max_move = _kernels.sweep(
-                lapn, Wn, gam, c2, d, lower, upper, SCAN_POINTS, 1e-9
-            )
-            stalled = max_move < COORDINATE_TOLERANCE or trace[-1] - obj < VALUE_TOLERANCE
-            trace.append(float(obj))
-        if stalled or sweeps == MAX_SWEEPS or _polish_due(sweeps):
-            polished, result = _polish(d, lapn, Wn, gam, c2, prior, nodes, p.b_inf, t_max)
-            polished = _monotone_down(np.clip(polished, lower, upper))
-            polished[-1] = lower[-1]
-            if (
-                result.status > 0
-                and _max_residual(lapn, Wn, gam, polished) <= RESIDUAL_TOLERANCE
-            ):
-                d, fit = polished, result
-                break
-        if stalled:
-            break
+    attempts = [polish_from(seed_mode)]
+    if not attempts[0].accepted:
+        attempts.append(polish_from(_OTHER_SEED[seed_mode]))
+    accepted = attempts[-1].accepted
+    best = attempts[-1] if accepted else min(attempts, key=lambda a: a.max_residual)
 
-    if fit is not None:
-        new_obj = objective(d)
-        if new_obj <= trace[-1]:
-            trace.append(new_obj)
-    max_residual = _max_residual(lapn, Wn, gam, d)
-    reason = "residual_bound" if fit is not None else "stalled" if stalled else "budget"
+    trace = [_kernels.surrogate_objective(lapn, Wn, gam, c2, best.start[:-1])]
+    new_obj = _kernels.surrogate_objective(lapn, Wn, gam, c2, best.values[:-1])
+    if new_obj <= trace[-1]:
+        trace.append(new_obj)
 
-    grid = envelope.lower.with_values(d)
+    grid = envelope.lower.with_values(best.values)
     return SolveReport(
         grid=grid,
         objective_trace=trace,
         residual_vector=tab.residual_vector(grid),
-        iterations=sweeps,
-        converged=fit is not None,
-        max_residual=max_residual,
-        convergence_reason=reason,
-        descent_exhausted=sweeps == MAX_SWEEPS and not stalled,
-        polish_status=None if fit is None else int(fit.status),
-        polish_nfev=None if fit is None else int(fit.nfev),
+        polishes=len(attempts),
+        converged=accepted,
+        max_residual=best.max_residual,
+        convergence_reason="residual_bound" if accepted else "polish_missed",
+        polish_status=int(best.result.status) if accepted else None,
+        polish_nfev=int(best.result.nfev) if accepted else None,
         prior_B=prior_B,
     )
 

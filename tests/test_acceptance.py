@@ -270,7 +270,7 @@ def test_criterion_9_american_put(
             np.abs(rep.grid.values - put_solution_midpoint.report.grid.values)
         )
     )
-    multistart_tol = 10.0 * solver.COORDINATE_TOLERANCE
+    multistart_tol = 1e-6
     seconds = (
         put_solution.env_seconds
         + put_solution.seconds

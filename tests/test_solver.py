@@ -1,4 +1,4 @@
-"""Seeding, the two-phase minimizer and the small-node asymptotic fit."""
+"""Seeding, the seed polish and its retry, and the small-node asymptotic fit."""
 
 import math
 
@@ -135,9 +135,9 @@ def linear30(linear):
 def _first_polish_misses(monkeypatch):
     """Make the first polish return its starting point unchanged.
 
-    After a few sweeps that point is the descent iterate, whose residual is
-    above the bound, so the polish misses as a spurious point would.
-    Returns the list of the polishes' starting points.
+    That point is the seed, whose residual is above the bound, so the
+    polish misses as a spurious point would.  Returns the list of the
+    polishes' starting points.
     """
     polish = solver._polish
     calls = []
@@ -152,30 +152,6 @@ def _first_polish_misses(monkeypatch):
 
 
 class TestSweepPolishSchedule:
-    def test_spurious_polish_after_four_sweeps(self, linear30, monkeypatch):
-        # A polish after exactly 4 sweeps that misses the residual bound
-        # (injected) must leave the solve unconverged.
-        p, cgrid, env = linear30
-        monkeypatch.setattr(solver, "_polish_due", lambda k: k == 4)
-        monkeypatch.setattr(solver, "MAX_SWEEPS", 4)
-        calls = _first_polish_misses(monkeypatch)
-        rep = solver.solve(p, cgrid, env)
-        assert len(calls) == 1
-        assert not rep.converged
-        assert rep.convergence_reason == "budget" and rep.descent_exhausted
-        assert rep.polish_status is None and rep.polish_nfev is None
-        assert rep.max_residual > solver.RESIDUAL_TOLERANCE
-
-    def test_rejects_spurious_polish_and_polishes_again(self, linear30, monkeypatch):
-        p, cgrid, env = linear30
-        monkeypatch.setattr(solver, "_polish_due", lambda k: k >= 4 and k & (k - 1) == 0)
-        calls = _first_polish_misses(monkeypatch)
-        rep = solver.solve(p, cgrid, env)
-        assert len(calls) == 2
-        assert rep.iterations == 8
-        assert rep.converged and rep.convergence_reason == "residual_bound"
-        assert np.max(np.abs(rep.grid.values - LINEAR_30x15_500_SWEEPS)) <= 1e-7
-
     @pytest.mark.parametrize("mode", ["asymptotic", "envelope_midpoint"])
     def test_converged_meets_residual_bound(self, linear30, mode):
         p, cgrid, env = linear30
@@ -183,7 +159,7 @@ class TestSweepPolishSchedule:
         assert rep.converged and rep.convergence_reason == "residual_bound"
         assert rep.max_residual <= solver.RESIDUAL_TOLERANCE
         assert rep.polish_status > 0 and rep.polish_nfev > 0
-        assert not rep.descent_exhausted
+        assert rep.polishes == 1
         # max|R| / max|lap|, recomputed from the reported residuals
         scale = max(abs(p.laplace_h_tilde(c)) for c in cgrid.values)
         assert rep.max_residual == pytest.approx(
@@ -194,21 +170,10 @@ class TestSweepPolishSchedule:
     def test_polish_that_misses_the_bound_is_not_convergence(self, linear30, monkeypatch):
         p, cgrid, env = linear30
         monkeypatch.setattr(solver, "RESIDUAL_TOLERANCE", 1e-12)
-        monkeypatch.setattr(solver, "MAX_SWEEPS", 3)
         rep = solver.solve(p, cgrid, env)
-        assert not rep.converged and rep.convergence_reason == "budget"
-        assert rep.polish_status is None
-
-    def test_sweep_budgets_agree(self, linear30, monkeypatch):
-        p, cgrid, env = linear30
-        boundaries = []
-        for budget in range(1, 7):
-            monkeypatch.setattr(solver, "MAX_SWEEPS", budget)
-            rep = solver.solve(p, cgrid, env)
-            assert rep.converged
-            boundaries.append(rep.grid.values)
-        for values in boundaries:
-            assert np.max(np.abs(values - LINEAR_30x15_500_SWEEPS)) <= 1e-7
+        assert not rep.converged and rep.convergence_reason == "polish_missed"
+        assert rep.polishes == 2
+        assert rep.polish_status is None and rep.polish_nfev is None
 
 
 @pytest.fixture(scope="module")
@@ -219,11 +184,11 @@ def put30():
     return p, cgrid, bounds_mod.iterate(p, nodes, cgrid, 3)
 
 
-def _seed_objective(p, cgrid, env):
-    """The solver's surrogate objective at the asymptotic seed."""
+def _seed_objective(p, cgrid, env, mode="asymptotic"):
+    """The solver's surrogate objective at the seed of ``mode``."""
     tab = env.tabulation.leading(cgrid)
     scale = float(np.max(np.abs(tab.lap)))
-    d = solver.seed(p, env).values
+    d = solver.seed(p, env, mode).values
     return _kernels.surrogate_objective(
         tab.lap / scale, tab.W / scale, tab.gam, tab.c2, np.ascontiguousarray(d[:-1])
     )
@@ -234,34 +199,47 @@ class TestSeedPolish:
     def test_seed_polish_accepted_without_sweeps(self, case, request):
         p, cgrid, env = request.getfixturevalue(case)
         rep = solver.solve(p, cgrid, env)
-        assert rep.iterations == 0
+        assert rep.polishes == 1
         assert rep.converged and rep.convergence_reason == "residual_bound"
         trace = rep.objective_trace
         assert trace[0] == _seed_objective(p, cgrid, env)
         assert all(a >= b for a, b in zip(trace, trace[1:]))
 
-    def test_missed_seed_polish_falls_back_to_descent(self, linear30, monkeypatch):
+    def test_missed_seed_polish_retries_from_the_other_seed(self, linear30, monkeypatch):
         # The first polish returns the seed unchanged, which misses the
-        # residual bound, so the solve must sweep once and polish again.
+        # residual bound, so the solve must polish the midpoint seed.
         p, cgrid, env = linear30
-        polish = solver._polish
-        calls = []
-
-        def seed_first(d, *args):
-            calls.append(d.copy())
-            out, result = polish(d, *args)
-            return (d.copy() if len(calls) == 1 else out), result
-
-        monkeypatch.setattr(solver, "_polish", seed_first)
+        calls = _first_polish_misses(monkeypatch)
         rep = solver.solve(p, cgrid, env)
         assert len(calls) == 2
         assert np.array_equal(calls[0][:-1], solver.seed(p, env).values[:-1])
-        assert rep.iterations == 1
+        midpoint = solver.seed(p, env, "envelope_midpoint").values
+        assert np.array_equal(calls[1][:-1], midpoint[:-1])
+        assert rep.polishes == 2
         assert rep.converged and rep.convergence_reason == "residual_bound"
         trace = rep.objective_trace
-        assert len(trace) == 3 and trace[0] == _seed_objective(p, cgrid, env)
+        assert len(trace) == 2
+        assert trace[0] == _seed_objective(p, cgrid, env, "envelope_midpoint")
         assert all(a >= b for a, b in zip(trace, trace[1:]))
         assert np.max(np.abs(rep.grid.values - LINEAR_30x15_500_SWEEPS)) <= 1e-7
+
+    @pytest.mark.parametrize("mode", ["asymptotic", "envelope_midpoint"])
+    def test_both_polishes_miss(self, mode):
+        # Every polish of the put (1, 0.75) at 12 x 8 converges, but the
+        # projection into the envelope lifts its residual above the bound.
+        p = builtin("american_put", rho=1.0, theta=0.75)
+        nodes = BoundaryGrid.uniform(p, 12).nodes
+        cgrid = CGrid.for_problem(p, 8)
+        env = bounds_mod.iterate(p, nodes, cgrid, 2)
+        rep = solver.solve(p, cgrid, env, mode)
+        assert not rep.converged and rep.convergence_reason == "polish_missed"
+        assert rep.polishes == 2
+        assert rep.polish_status is None and rep.polish_nfev is None
+        assert rep.max_residual > solver.RESIDUAL_TOLERANCE
+        vals = rep.grid.values
+        assert vals[0] == 0.0
+        assert np.all(np.diff(vals) <= 0.0)
+        assert np.all((vals >= env.lower.values) & (vals <= env.upper.values))
 
     @pytest.mark.parametrize("case", ["linear30", "put30"])
     def test_asymptotic_seed_is_the_prior(self, case, request):
@@ -377,10 +355,9 @@ class TestLeastSquares:
             return result
 
         monkeypatch.setattr(solver, "least_squares", starved)
-        monkeypatch.setattr(solver, "MAX_SWEEPS", 2)
         rep = solver.solve(p, cgrid, env)
-        assert statuses == [0, 0, 0]  # the polishes at sweeps 0, 1 and 2
-        assert not rep.converged and rep.convergence_reason == "budget"
+        assert statuses == [0, 0]  # the polishes of both seeds
+        assert not rep.converged and rep.convergence_reason == "polish_missed"
         assert rep.polish_status is None and rep.polish_nfev is None
 
     def test_polish_returns_least_squares_result(self, linear30, monkeypatch):
@@ -396,7 +373,18 @@ class TestAsymptoticCheck:
         g = BoundaryGrid.uniform(linear, 12)
         g = g.with_values(values(g.nodes))
         rv = fredholm.objective(linear, g, CGrid.for_problem(linear, 4))
-        return solver.SolveReport(g, [rv.objective], rv, 1, converged)
+        return solver.SolveReport(
+            grid=g,
+            objective_trace=[rv.objective],
+            residual_vector=rv,
+            polishes=1,
+            converged=converged,
+            max_residual=math.nan,
+            convergence_reason="residual_bound" if converged else "polish_missed",
+            polish_status=None,
+            polish_nfev=None,
+            prior_B=math.nan,
+        )
 
     def test_exact_quadratic(self, linear):
         rep = self._report(linear, lambda y: -2.0 * y * y)
