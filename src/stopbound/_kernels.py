@@ -53,9 +53,15 @@ _PREFIX_SLACK = 4
 
 
 def residuals(lap, W, gam, dvals):
-    """Residual vector R(c_l; d) = lap_l + sum_n exp(gam_l * d_n) * W_ln."""
-    with np.errstate(over="ignore", under="ignore"):
-        E = np.exp(np.minimum(gam[:, None] * dvals[None, :], 700.0))
+    """Residual vector R(c_l; d) = lap_l + sum_n exp(gam_l * d_n) * W_ln.
+
+    The exponent is capped at 700, so the exponential cannot overflow.  It
+    sets no NumPy error state itself: entering ``np.errstate`` costs about
+    2.3 µs, a third of a call at 15 parameters and 29 segments, so each
+    caller enters it once (``solver.solve`` around its polishes,
+    ``Tabulation.residual_vector`` and ``fredholm.residual``).
+    """
+    E = np.exp(np.minimum(gam[:, None] * dvals[None, :], 700.0))
     return lap + (E * W).sum(axis=1)
 
 

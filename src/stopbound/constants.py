@@ -21,13 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import (
-    RootBracket,
-    find_root,
-    integrate_semi_infinite,
-    norm_cdf,
-    norm_pdf,
-)
+import numpy as np
+
+from .numerics import RootBracket, find_root, norm_cdf, norm_pdf
 
 __all__ = [
     "AsymptoticConstant",
@@ -43,6 +39,12 @@ _BRACKET_HI = 1e3
 # Root tolerances of :func:`solve_B` and :func:`stadje_alpha`.
 _B_TOL = 1e-10
 _ALPHA_TOL = 1e-12
+# The exp-sinh rule of :func:`moment_integral`: step 1/32 over t in [-4, 4],
+# 257 points, with the factor (pi/2) * cosh(t) of dz/z at each.
+_ES_STEP = 1.0 / 32.0
+_ES_T = _ES_STEP * np.arange(-128, 129)
+_ES_U = 0.5 * math.pi * np.sinh(_ES_T)
+_ES_LOG_JACOBIAN = np.log(0.5 * math.pi * np.cosh(_ES_T))
 
 
 class ConstantOutOfRangeError(ValueError):
@@ -64,18 +66,27 @@ class AsymptoticConstant:
 
 
 def moment_integral(B: float, beta: float) -> float:
-    """``integral_0^inf z**beta * exp(-B z**2/2 + z) dz`` by quadrature."""
+    """``integral_0^inf z**beta * exp(-B z**2/2 + z) dz`` by the exp-sinh rule.
+
+    The map ``z = lam * exp(pi/2 * sinh t)`` with ``lam = 1/B + 1/sqrt(B)``
+    (Takahasi & Mori 1974) sends the half-line to the real line, where the
+    integrand decays double-exponentially at both ends; the trapezoidal
+    rule with step 1/32 over ``t`` in ``[-4, 4]`` (257 points) then sums
+    it.  ``lam`` sits at the scale of the Gaussian bump, whose centre
+    ``1/B`` and width ``1/sqrt(B)`` both matter.  The integrand is formed in
+    log space, so no factor overflows even where the integral is near
+    ``1e300``.  For ``beta`` in ``[0, 3.5]`` it agrees with the same rule
+    at step 1/128 to 2e-15 relative for ``B`` in ``[0.01, 1e3]``, and to
+    7e-4 at ``B = 1e-3``, the low end of :func:`solve_B`'s bracket, where
+    the bump is narrower than the step and only the sign against the
+    target is read.
+    """
     if B <= 0.0:
         raise ValueError("B must be positive")
-
-    def f(z: float) -> float:
-        if z <= 0.0:
-            return 0.0
-        return z**beta * math.exp(-B * z * z / 2.0 + z)
-
-    # The integrand decays like exp(-B z^2/2); past the mode any rate below
-    # B*z - 1 is a valid exponential bound, 1.0 is safely conservative.
-    return integrate_semi_infinite(f, 0.0, +1, 1.0)
+    lam = 1.0 / B + 1.0 / math.sqrt(B)
+    z = lam * np.exp(_ES_U)
+    log_f = (beta + 1.0) * (math.log(lam) + _ES_U) - 0.5 * B * z * z + z + _ES_LOG_JACOBIAN
+    return _ES_STEP * float(np.exp(log_f).sum())
 
 
 def closed_form_moment(B: float) -> float:

@@ -185,7 +185,8 @@ class Tabulation:
     def residual_vector(self, grid: BoundaryGrid) -> ResidualVector:
         """Residuals and penalties of ``grid``'s values at every parameter."""
         d = np.ascontiguousarray(grid.values[:-1])
-        R = _kernels.residuals(self.lap, self.W, self.gam, d)
+        with np.errstate(over="ignore", under="ignore"):
+            R = _kernels.residuals(self.lap, self.W, self.gam, d)
         pens = np.array([penalty(c, r) for c, r in zip(self.c_values, R)])
         return ResidualVector(self.c_values.copy(), residuals=R, penalties=pens)
 
@@ -260,7 +261,8 @@ def residual(p: Problem, grid: BoundaryGrid, c: float) -> float:
     or below ``sqrt(2r)`` raises :class:`InadmissibleCError`.
     """
     tab = tabulate(p, grid, CGrid([c]))
-    return float(_kernels.residuals(tab.lap, tab.W, tab.gam, grid.values[:-1])[0])
+    with np.errstate(over="ignore", under="ignore"):
+        return float(_kernels.residuals(tab.lap, tab.W, tab.gam, grid.values[:-1])[0])
 
 
 def penalty(c: float, x: float) -> float:

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, CSV artifacts and reproducibility."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -367,11 +368,67 @@ def _scipy_modules_after(code):
     return set(done.stdout.split())
 
 
+def _fresh_cli(argv, out_dir):
+    """``cli.main(argv)`` in a fresh process.
+
+    Returns its exit code, the SciPy modules in ``sys.modules`` afterwards
+    and the number of calls of ``numerics.integrate_finite``, the adaptive
+    quadrature, that the run made.
+    """
+    script = textwrap.dedent(f"""
+        import contextlib, io, json, sys
+        from stopbound import cli, numerics
+        quad, calls = numerics.integrate_finite, []
+        def counted(*args):
+            calls.append(args[1:3])
+            return quad(*args)
+        numerics.integrate_finite = counted
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main({list(argv) + ["--out-dir", str(out_dir)]!r})
+        scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        print(json.dumps([rc, scipy, len(calls)]))
+    """)
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    rc, scipy, quadratures = json.loads(done.stdout.splitlines()[-1])
+    return rc, set(scipy), quadratures
+
+
 class TestModuleLoads:
-    """Each command loads only the SciPy subpackages it calls."""
+    """Each command loads only the SciPy subpackages it calls: only the
+    lattice (``oracle``, and ``verify`` on a problem with a lattice) loads
+    any, and that is ``scipy.sparse``."""
 
     def test_import_loads_no_scipy(self):
         assert _scipy_modules_after("import stopbound") == set()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "linear"],
+        ["solve", "--problem", "american_put", "--rho", "1", "--theta", "0.5"],
+        ["constants", "--beta", "1"],
+        ["residuals", "--problem", "linear"],
+    ], ids=["solve-linear", "solve-put", "constants", "residuals"])
+    def test_solver_side_loads_no_scipy(self, argv, tmp_path):
+        rc, loaded, _ = _fresh_cli(argv, tmp_path)
+        assert (rc, loaded) == (cli.EXIT_OK, set())
+
+    def test_closed_form_verify_loads_no_scipy(self, tmp_path):
+        # The closed-form check is an iterated adaptive quadrature.
+        rc, loaded, quadratures = _fresh_cli(["verify", "--problem", "stadje"], tmp_path)
+        assert (rc, loaded) == (cli.EXIT_OK, set())
+        assert quadratures > 3
+
+    def test_problem_file_transform_loads_no_scipy(self, tmp_path):
+        # No `laplace` key: each kernel parameter's transform is an adaptive
+        # quadrature.
+        path = tmp_path / "linear.txt"
+        path.write_text("r = 1\nb_inf = 0.7071067811865476\nhtilde_expr = y\n")
+        argv = ["solve", "--problem-file", str(path), "--nodes", "30", "--cvals", "15"]
+        rc, loaded, quadratures = _fresh_cli(argv, tmp_path)
+        assert (rc, loaded) == (cli.EXIT_OK, set())
+        assert quadratures >= 15
 
     def test_bounds_loads_no_scipy(self, tmp_path):
         loaded = _scipy_modules_after(f"""

@@ -48,6 +48,22 @@ class TestSolveB:
         with pytest.raises(ValueError):
             solve_B(1.0, m_ratio=0.0)
 
+    # Roots of the identity with the moment integral by QUADPACK's adaptive
+    # quadrature, as the library computed it before its exp-sinh rule.
+    QUADPACK_ROOTS = {
+        (0.0, 1.0): 3.9048600287099657,
+        (0.5, 1.0): 3.0133292766403086,
+        (1.0, 1.0): 2.4503325097396105,
+        (2.0, 1.0): 1.7814581322229386,
+        (3.5, 1.0): 1.262609410258779,
+        (1.0, 4.0): 1.0620845712753184,
+    }
+
+    @pytest.mark.parametrize("beta, m_ratio", list(QUADPACK_ROOTS))
+    def test_roots_match_quadpack(self, beta, m_ratio):
+        B = solve_B(beta, m_ratio).B
+        assert B == pytest.approx(self.QUADPACK_ROOTS[beta, m_ratio], rel=0.0, abs=1e-10)
+
     def test_out_of_range_target(self):
         with pytest.raises(ConstantOutOfRangeError):
             solve_B(1.0, m_ratio=1e300)

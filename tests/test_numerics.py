@@ -50,6 +50,60 @@ class TestIntegrateFinite:
         assert math.isfinite(exc.value.estimate)
 
 
+def _put_density(x):
+    # exp(2.5 x) times the put's h_tilde at (1, 0.5), which jumps at
+    # log(0.5): bisection puts the jump between a panel's end and its
+    # outermost node, where the rule's own error estimate cannot see it.
+    if x <= math.log(0.5):
+        return 0.0
+    return 2.0**1.5 * math.exp(4.0 * x) * (1.0 - math.exp(-x))
+
+
+class TestAgainstQuadpack:
+    """``integrate_finite`` agrees with QUADPACK's ``quad`` to 1e-10 relative.
+
+    SciPy is the reference only; the library's quadrature does not use it.
+    """
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: math.exp(3.0 * x) * math.cos(x), 0.0, 2.0),
+        (lambda x: math.exp(-x * x), -5.0, 5.0),
+        (lambda x: math.sin(50.0 * x), 0.0, 10.0),
+        (lambda x: 1.0 / math.sqrt(x), 0.0, 1.0),
+        (lambda x: math.log(x), 0.0, 1.0),
+        (lambda x: math.log(x) * math.exp(-x), 0.0, 3.0),
+        (lambda x: max(0.0, x - 0.3) * math.exp(2.0 * x), 0.0, 1.0),
+        (lambda x: abs(x - 1.0 / 3.0), 0.0, 1.0),
+        (_put_density, -1.0, 0.0),
+    ], ids=["smooth", "gaussian", "oscillating", "inverse-sqrt", "log", "log-weighted",
+            "kink", "abs-kink", "jump"])
+    def test_agrees_with_quad(self, f, a, b):
+        from scipy.integrate import quad
+
+        spec = DEFAULT_QUADRATURE
+        want, _ = quad(f, a, b, epsabs=spec.absolute_tolerance,
+                       epsrel=spec.relative_tolerance, limit=spec.max_subdivisions)
+        assert integrate_finite(f, a, b) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_endpoints_never_evaluated(self):
+        def f(x):
+            assert 0.0 < x < 1.0
+            return 1.0 / math.sqrt(x * (1.0 - x))
+
+        # A singularity at an end away from 0 stops where the panels reach
+        # the float spacing; that is a tolerance error, not an evaluation at
+        # the end.
+        with pytest.raises(ToleranceNotMetError):
+            integrate_finite(f, 0.0, 1.0)
+        loose = QuadratureSpec(relative_tolerance=1e-6, absolute_tolerance=1e-6)
+        assert integrate_finite(f, 0.0, 1.0, loose) == pytest.approx(math.pi, rel=1e-6)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(ToleranceNotMetError, match="not finite"):
+            integrate_finite(lambda x: math.inf if x > 0.5 else 1.0, 0.0, 1.0)
+
+
 class TestIntegrateSemiInfinite:
     def test_exponential_decay_right(self):
         val = integrate_semi_infinite(lambda x: math.exp(-x), 0.0, +1, 1.0)

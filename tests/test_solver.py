@@ -360,6 +360,33 @@ class TestLeastSquares:
         assert not rep.converged and rep.convergence_reason == "polish_missed"
         assert rep.polish_status is None and rep.polish_nfev is None
 
+    def test_singular_trial_grows_the_damping(self, linear30, monkeypatch):
+        # A trial whose system is singular is rejected like a trial that
+        # does not descend: the damping grows and the polish goes on.
+        inputs = _seed_polish_inputs(linear30, monkeypatch)
+        solve, failures = np.linalg.solve, []
+
+        def singular_at_first(a, b):
+            if len(failures) < 3:
+                failures.append(a.shape)
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_at_first)
+        res = _polish_fit(inputs)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        assert len(failures) == 3 and res.status > 0
+        assert np.max(np.abs(res.x - _polish_fit(inputs).x)) <= 1e-7
+
+    def test_no_damping_solves_raises(self, linear30, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        inputs = _seed_polish_inputs(linear30, monkeypatch)
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(FloatingPointError):
+            _polish_fit(inputs)
+
     def test_polish_returns_least_squares_result(self, linear30, monkeypatch):
         rep = solver.solve(*linear30)
         inputs = _seed_polish_inputs(linear30, monkeypatch)
