@@ -38,6 +38,7 @@ COMMANDS = {
     "bounds": ["bounds", "--problem", "linear"],
     "oracle": ["oracle", "--problem", "linear", "--t-steps", "200", "--x-steps", "200"],
     "verify linear": ["verify", "--problem", "linear"],
+    "verify put": ["verify", "--problem", "american_put", "--rho", "1", "--theta", "0.5"],
 }
 
 _SCRIPT = "import sys\nfrom stopbound.cli import main\nsys.exit(main(sys.argv[1:]))"

@@ -14,7 +14,10 @@ steps, the two-row lattice and the Monte Carlo estimates must match their
 reference exactly, the weights to 1e-12 relative, and the ``np.interp``
 lattice values to 1e-9.  The two-row comparison runs on each lattice that ``stopbound
 oracle`` runs in the benchmark and prints the share of stencil rows the
-current step multiplies.  The pure-Python ``find_root`` must return SciPy's
+current step multiplies.  On the same lattices, one step's product over a
+prefix of a quarter and of half the rows is timed against SciPy's CSR
+product of the same stencil (the lattice's product before it ran on NumPy
+alone), which it must match to 1e-14.  The pure-Python ``find_root`` must return SciPy's
 ``brentq`` bits on the library's own root finds.  The solver's
 Levenberg--Marquardt polish must give the boundary that SciPy's
 trust-region reflective solver gives, to 1.5e-7.  The last row times
@@ -27,6 +30,7 @@ import statistics
 import subprocess
 import sys
 import time
+import timeit
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +47,7 @@ from reference_loops import (  # noqa: E402
     reference_dp_backward,
     reference_lower_step,
     reference_mc_value,
+    reference_stencil,
     reference_two_row_dp_backward,
     reference_upper_step,
     rows_multiplied,
@@ -148,6 +153,32 @@ def lattice_step():
         name = f"{label} from t = {t_min:g}, {t_steps + 1} x {x_steps}"
         print(f"{name:<38}{t_ref:>18.6f}{t_new:>13.6f}{t_ref / t_new:>10.2f}"
               f"{rows / (t_steps * x_steps):>17.3f}")
+
+
+def stencil_product(number=200, repeat=5):
+    """Time one step's prefix product against SciPy's CSR product on each ``oracle`` lattice."""
+    print("one step's product over rows [0, m): banded stencil against SciPy's CSR matrix"
+          f" of the same stencil; best of {repeat} x {number} calls, rows agree to 1e-14")
+    print(f"{'lattice':<38}{'rows m':>8}{'CSR (us)':>10}{'current (us)':>14}{'speedup':>10}")
+    for label, t_min, t_steps, x_steps in ORACLE_LATTICES:
+        p = builtin("linear") if label == "linear" else american_put(1.0, 0.5)
+        _, _, xs, dt, gh_x, gh_w = _lattice_inputs(p, t_min, t_steps, x_steps)
+        shifts = math.sqrt(dt) * gh_x
+        A = k.expectation_stencil(xs, shifts, gh_w)
+        C = reference_stencil(xs, shifts, gh_w)
+        C.eliminate_zeros()
+        v, out = np.sin(3.0 * xs), np.empty(x_steps)
+        for m in (x_steps // 4, x_steps // 2):
+            C_m, product = C[:m], A.prefix(v, m, out)
+            # alternate the two, so a slow stretch of a shared machine hits both
+            t_csr, t_new = (min(pair) / number for pair in zip(*(
+                (timeit.timeit(lambda: C_m @ v, number=number), timeit.timeit(product, number=number))
+                for _ in range(repeat))))
+            err = float(np.max(np.abs(out[:m] - C_m @ v)))
+            if not err <= 1e-14:
+                raise AssertionError(f"stencil product: {label} rows differ from CSR by {err:.3g}")
+            name = f"{label} from t = {t_min:g}, {t_steps + 1} x {x_steps}"
+            print(f"{name:<38}{m:>8}{t_csr * 1e6:>10.1f}{t_new * 1e6:>14.1f}{t_csr / t_new:>10.2f}")
 
 
 def monte_carlo(paths=5000, n_steps=2000, t_min=-1.0):
@@ -286,6 +317,8 @@ def main() -> None:
     lattice()
     print()
     lattice_step()
+    print()
+    stencil_product()
     print()
     monte_carlo()
 

@@ -6,9 +6,11 @@ coordinate descent that the solver no longer runs, stays only because the
 benchmark's tracer still reports its call site.
 Callers look every kernel up as an attribute of this module, so a profiler
 can wrap it in one place.  ``dp_backward`` loops over time slices, each
-step one sparse matvec (a stencil with no stored zeros) and four passes
-over only the rows that can continue, a row prefix: the rows above it lie
-deep in the stopping region, where the value is the payoff bit for bit;
+step one product by a banded stencil (one tap set for every row, the edge
+reflection read through ghost nodes: four pair sums and one ``np.einsum``)
+and four passes over only the rows that can continue, a row prefix: the
+rows above it lie deep in the stopping region, where the value is the
+payoff bit for bit;
 ``mc_first_crossing`` walks antithetic pairs of paths over a
 time-major chunk of normals, which the caller sizes and draws for the pairs
 still running: one row add per step and member, then one comparison over
@@ -35,6 +37,7 @@ __all__ = [
     "surrogate_objective",
     "sweep",
     "dp_backward",
+    "Stencil",
     "expectation_stencil",
     "boundary_slice",
     "mc_first_crossing",
@@ -138,39 +141,92 @@ def sweep(lap, W, gam, c2, d, lower, upper, scan_points=25, node_tol=1e-9):
     return obj, max_move
 
 
+class Stencil:
+    """The one-step expectation of :func:`expectation_stencil`: one tap set for every row.
+
+    Row ``j`` of the product with ``v`` is ``taps[0] * u[j]`` plus, for
+    each ``k >= 1``, ``taps[k] * (u[j - o] + u[j + o])`` with ``o =
+    offsets[k - 1]``, where ``u`` is ``v`` with ``reach`` ghost nodes on
+    each side.  A ghost node holds the value of the node that the edge
+    reflection (and the hold beyond it) maps it to, so the edge rows read
+    their reflected points through the same taps.  One preallocated
+    ``(len(taps), n + 2 * reach)`` buffer holds ``u`` in row 0 and the pair
+    sums in the rows below, and one ``np.einsum`` (not a BLAS call) reduces
+    them.  An ``einsum`` element is the same sum in the same order whatever
+    the number of rows, so the rows of a prefix product carry the full
+    product's bits.  Products share the buffer: run one at a time.
+    """
+
+    def __init__(self, n, taps, offsets):
+        self.n, self.taps, self.offsets = n, taps, offsets
+        self.reach = pad = int(offsets.max()) if offsets.size else 0
+        self._buf = np.empty((taps.shape[0], n + 2 * pad))
+
+        def source(g):
+            # reflect at node 0, then at node n - 1, then hold at the edge
+            y = np.abs(g)
+            return pad + np.clip(np.where(y > n - 1, 2 * (n - 1) - y, y), 0, n - 1)
+
+        self._below = source(np.arange(-pad, 0))
+        self._above = source(np.arange(n, n + pad))
+
+    def prefix(self, v, m, out):
+        """Rows ``[0, m)`` of the product with ``v``, as a call without arguments.
+
+        Each call reads the current values of ``v`` below row ``m + reach``
+        and writes the rows to ``out[:m]``, no row of ``out`` from ``m``
+        up.  The views each call works on are formed here, once.
+        """
+        n, pad, buf = self.n, self.reach, self._buf
+        u, read = buf[0], min(n, m + pad)
+        u_read, v_read, below = u[pad:pad + read], v[:read], u[:pad]
+        # the top ghosts are read only by the rows within reach of the top
+        above = u[pad + n:] if m + pad > n else None
+        pairs = [(u[pad - o:pad + m - o], u[pad + o:pad + m + o], buf[k, pad:pad + m])
+                 for k, o in enumerate(self.offsets, 1)]
+        rows, taps, out_m = buf[:, pad:pad + m], self.taps, out[:m]
+
+        def product():
+            np.copyto(u_read, v_read)
+            below[...] = u[self._below]
+            if above is not None:
+                above[...] = u[self._above]
+            for a, b, s in pairs:
+                np.add(a, b, out=s)
+            np.einsum("i,ij->j", taps, rows, out=out_m)
+
+        return product
+
+    def __matmul__(self, v):
+        out = np.empty(self.n)
+        self.prefix(v, self.n, out)()
+        return out
+
+
 def expectation_stencil(xs, shifts, weights):
-    """One-step expectation on the nodes ``xs`` as a sparse matrix.
+    """One-step expectation on the uniform nodes ``xs`` as a :class:`Stencil`.
 
     Row ``j`` maps a value slice to ``sum_i weights[i] * v(xs[j] + shifts[i])``,
     the value read by linear interpolation after one reflection of the
-    point at each spatial edge (and held at the edge value beyond it).  Each
-    point touches two neighbouring nodes, so a row has at most
-    ``2 * len(shifts)`` entries.  The matrix stores no zeros: a point that
-    lands exactly on a node (the centre abscissa, shift 0, does on every row)
-    puts weight 0 on the neighbouring node, and that entry is dropped, which
-    changes no product bit.  ``scipy.sparse`` is imported on the first call,
-    so only a lattice run loads it.
+    point at each spatial edge (and held at the edge value beyond it).  The
+    rule must be mirror-symmetric (``shifts`` odd and ``weights`` even about
+    their middle), as Gauss--Hermite rules are.  On uniform nodes a point
+    ``p = shift / dx`` nodes away puts weight ``max(0, 1 - |o - p|)`` on
+    offset ``o``, the same on every row, so the stencil is one tap per
+    offset ``o >= 0`` (the same on both sides), offsets with zero weight
+    dropped.  Reflection at an edge node maps nodes to nodes and is affine
+    between them, so reading the reflected point equals interpolating
+    ghost nodes beyond the edge, which is what :class:`Stencil` does.
     """
-    from scipy import sparse
-
+    shifts, weights = np.asarray(shifts, dtype=float), np.asarray(weights, dtype=float)
+    if not (np.array_equal(shifts, -shifts[::-1]) and np.array_equal(weights, weights[::-1])):
+        raise ValueError("the expectation rule must be mirror-symmetric")
     n_x = xs.shape[0]
-    x0, x_hi = xs[0], xs[-1]
-    xp = xs[None, :] + shifts[:, None]
-    xp = np.where(xp < x0, 2.0 * x0 - xp, xp)
-    xp = np.where(xp > x_hi, 2.0 * x_hi - xp, xp)
-    i0 = np.clip(np.searchsorted(xs, xp, side="right") - 1, 0, n_x - 2)
-    fr = np.clip((xp - xs[i0]) / (xs[i0 + 1] - xs[i0]), 0.0, 1.0)
-    w = weights[:, None]
-    rows = np.broadcast_to(np.arange(n_x), xp.shape)
-    # The conversion to CSR sums the entries that several points share.
-    A = sparse.coo_array(
-        (np.concatenate([(w * (1.0 - fr)).ravel(), (w * fr).ravel()]),
-         (np.concatenate([rows.ravel(), rows.ravel()]),
-          np.concatenate([i0.ravel(), (i0 + 1).ravel()]))),
-        shape=(n_x, n_x),
-    ).tocsr()
-    A.eliminate_zeros()
-    return A
+    p = shifts / ((xs[-1] - xs[0]) / (n_x - 1))
+    o = np.arange(int(np.abs(p).max()) + 2)
+    tap = (weights[:, None] * np.maximum(0.0, 1.0 - np.abs(o[None, :] - p[:, None]))).sum(axis=0)
+    offsets = np.flatnonzero(tap[1:]) + 1
+    return Stencil(n_x, np.append(tap[0], tap[offsets]), offsets)
 
 
 def boundary_slice(v, pay, xs, cont):
@@ -232,19 +288,20 @@ def dp_backward(disc, hx, xs, dt, gh_x, gh_w):
       ``q * (A @ hx)_j + tol * (A @ |hx|)_j < hx_j - tol * |hx_j|`` for the
       largest and the smallest ratio ``q = disc[k+1] / disc[k]`` (the
       stencil's entries are positive), with ``tol`` = ``_CLEAR_TOL``
-      (1e-12).  The float product over at most ten payoff terms differs
-      from ``disc[k+1] * (A @ hx)_j`` by at most about twelve unit
-      roundoffs, 1.4e-15 times ``disc[k+1] * (A @ |hx|)_j``, and the
+      (1e-12).  Each of the row's payoff terms is rounded at most seven
+      times (the payoff's product, a pair sum, a tap product and four
+      sums), so the float product differs from ``disc[k+1] * (A @ hx)_j``
+      by at most about 1e-15 times ``disc[k+1] * (A @ |hx|)_j``, and the
       test's own rounding is of the same size, so ``tol`` proves the float
       product strictly below the float payoff ``disc[k] * hx_j``, which
       ``np.maximum`` then returns.
 
     So ``m`` covers every row the test cannot clear and every row within
-    the stencil's reach of the highest continuation node.  The product uses
-    one row-sliced copy ``A[:m]``, which keeps CSR's accumulation order on
-    each row it multiplies, so every value and boundary bit equals the full
-    product's; it is sliced again, with ``_PREFIX_SLACK`` reaches to spare,
-    only when continuation comes within one reach of its edge.  A step is
+    the stencil's reach of the highest continuation node.  The product over
+    the prefix (:meth:`Stencil.prefix`) gives each row the full product's
+    bits, so every value and boundary bit equals the full product's; the
+    prefix grows, with ``_PREFIX_SLACK`` reaches to spare, only when
+    continuation comes within one reach of its edge.  A step is
     the product and four passes over the prefix (the payoff in place, the
     comparison, the maximum in place, and the boundary read) plus the
     payoff on the ``reach`` rows above it that the next product reads;
@@ -256,11 +313,7 @@ def dp_backward(disc, hx, xs, dt, gh_x, gh_w):
     monotone in time).
     """
     A = expectation_stencil(xs, math.sqrt(dt) * gh_x, gh_w)
-    n_t, n_x = disc.shape[0], hx.shape[0]
-    # Every row holds an entry, so each reduces over its own columns.
-    rows, starts = np.arange(n_x), A.indptr[:-1]
-    reach = int(max((rows - np.minimum.reduceat(A.indices, starts)).max(),
-                    (np.maximum.reduceat(A.indices, starts) - rows).max()))
+    n_t, n_x, reach = disc.shape[0], hx.shape[0], A.reach
     q = disc[1:] / disc[:-1]
     Ahx = A @ hx
     above = np.maximum(q.max() * Ahx, q.min() * Ahx) + _CLEAR_TOL * (A @ np.abs(hx))
@@ -269,6 +322,7 @@ def dp_backward(disc, hx, xs, dt, gh_x, gh_w):
     v_terminal = disc[-1] * hx
     boundary[-1] = xs[0]  # the value equals the payoff at the terminal time
     v = v_terminal.copy()
+    c_full = np.empty(n_x)
     cont = np.zeros(n_x, dtype=bool)
     # The first m rows are multiplied (-1 before the first step) and the
     # first w = m + reach rows of v kept current; the first `need` rows
@@ -282,10 +336,10 @@ def dp_backward(disc, hx, xs, dt, gh_x, gh_w):
             m = min(n_x, need + _PREFIX_SLACK * reach)
             w, w_old = min(n_x, m + reach), w
             np.multiply(disc[k + 1], hx[w_old:w], out=v[w_old:w])
-            A_m = A[:m]
-            hx_w, v_w, v_m, cont_m = hx[:w], v[:w], v[:m], cont[:m]
+            hx_w, v_w, v_m, c, cont_m = hx[:w], v[:w], v[:m], c_full[:m], cont[:m]
             edge = cont[max(0, m - reach):m] if m < n_x else cont[:0]
-        c = A_m @ v
+            product = A.prefix(v, m, c_full)
+        product()
         np.multiply(disc[k], hx_w, out=v_w)
         np.greater(c, v_m, out=cont_m)
         boundary[k] = boundary_slice(c, v, xs, cont)

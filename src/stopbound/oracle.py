@@ -14,16 +14,19 @@ directly.  The lattice boundary carries a first-order bias in
 ``sqrt(dt)`` from the discrete exercise dates; :func:`refined_boundary`
 removes the leading term by Richardson extrapolation against a finer run.
 
-On the uniform lattice the one-step expectation is one fixed banded sparse
-matrix, built once per lattice (:func:`_kernels.expectation_stencil`).  The
-backward induction applies it to one value row in place and reads the
-boundary off each slice as it goes, so a lattice holds memory in
-``t_steps + x_steps``, not in their product.  It multiplies only the row
-prefix that can continue.  A row above it reads no continuation node of
-the later slice, and a one-time test per lattice, with a relative margin
-``tol`` = 1e-12 far above the rounding of a ten-term row product, proves
-its float product below the float payoff; so it is the payoff, and every
-value and boundary bit equals the full product's.  Monte Carlo simulates
+On the uniform lattice the one-step expectation is one fixed banded
+stencil, built once per lattice (:func:`_kernels.expectation_stencil`):
+every row shares one mirror-symmetric tap set, and the edge rows read
+their reflected points through ghost nodes, so a product is four pair
+sums and one ``np.einsum`` in NumPy alone.  The backward induction applies
+it to one value row in place and reads the boundary off each slice as it
+goes, so a lattice holds memory in ``t_steps + x_steps``, not in their
+product.  It multiplies only the row prefix that can continue.  A row
+above it reads no continuation node of the later slice, and a one-time
+test per lattice, with a relative margin ``tol`` = 1e-12 far above the
+rounding of a row product, proves its float product below the float
+payoff; so it is the payoff, and every value and boundary bit equals the
+full product's.  Monte Carlo simulates
 antithetic pairs of paths, driven by ``z`` and ``-z``, and takes its
 standard error over the pairs, which are the independent samples; so
 ``paths`` must be even.  It advances the pairs in chunks of time steps and
@@ -143,7 +146,7 @@ def backward_induction(
     Terminal condition ``V(0, x) = h(x)``; each backward step takes the
     maximum of the discounted payoff and the Gaussian one-step expectation
     (5-point quadrature, reflecting spatial truncation).  On the uniform grid
-    that expectation is one fixed sparse stencil, so the induction holds one
+    that expectation is one fixed banded stencil, so the induction holds one
     value row, multiplied only over the rows that can continue, and reads
     the boundary off each slice as it goes; no ``(t_steps + 1, x_steps)``
     array is formed.  The returned grid keeps

@@ -5,12 +5,14 @@ lockstep prefix-sum steps must reproduce it bit for bit.  The adaptive
 weights take one quadrature per segment and parameter; the Gauss--Legendre
 rule must match them to 1e-12 relative on smooth integrands.  The lattice
 interpolates every Gauss--Hermite point with ``np.interp`` on each step and
-stores the whole ``(n_t, n_x)`` value array; the sparse stencil lattice
-must match its values and boundary to round-off.  That
-two-row loop stored the stencil's zeros, multiplied every row and formed
-the value-payoff gap of every slice; the step that multiplies only a row
-prefix must reproduce it bit for bit, and ``rows_multiplied`` counts that
-prefix.  Monte Carlo
+stores the whole ``(n_t, n_x)`` value array; the stencil lattice must
+match its values and boundary to round-off.  ``reference_stencil`` is the
+sparse matrix (SciPy's, loaded by the tests only) of the same interpolated
+points, zeros stored, which the stencil's product must match to 1e-14 of
+the slice.  The two-row loop takes the stencil's full product on every
+row and forms the value-payoff gap of every slice; the step that
+multiplies only a row prefix must reproduce it bit for bit, and
+``rows_multiplied`` counts that prefix.  Monte Carlo
 walks each member of every running antithetic pair one step at a time over
 each time-major chunk of normals, the second member over their negation,
 in each of two streams: contiguous blocks of the pairs, each drawn from its
@@ -150,7 +152,7 @@ def reference_extract_boundary(disc, hx, V, xs):
 
 
 def reference_stencil(xs, shifts, weights):
-    """The expectation stencil with its stored zeros, one or more a row."""
+    """The expectation stencil as a SciPy CSR matrix: each point's two nodes, zeros stored."""
     n_x = xs.shape[0]
     x0, x_hi = xs[0], xs[-1]
     xp = xs[None, :] + shifts[:, None]
@@ -185,8 +187,8 @@ def reference_boundary_slice(gap, xs):
 
 
 def reference_two_row_dp_backward(disc, hx, xs, dt, gh_x, gh_w):
-    """``_kernels.dp_backward`` as two rows, a stencil with zeros and a gap per slice."""
-    A = reference_stencil(xs, math.sqrt(dt) * gh_x, gh_w)
+    """``_kernels.dp_backward`` as two rows, the stencil's full product and a gap per slice."""
+    A = _kernels.expectation_stencil(xs, math.sqrt(dt) * gh_x, gh_w)
     n_t = disc.shape[0]
     boundary = np.empty(n_t)
     v_terminal = v = disc[-1] * hx
@@ -199,28 +201,31 @@ def reference_two_row_dp_backward(disc, hx, xs, dt, gh_x, gh_w):
 
 
 class _StencilRows:
-    """A stencil whose row slices append their row count to ``log`` at each product."""
+    """A stencil that appends the row count of each prefix product to ``log``."""
 
-    def __init__(self, A, log, sliced=False):
-        self.A, self.log, self.sliced = A, log, sliced
+    def __init__(self, A, log):
+        self.A, self.log = A, log
 
     def __getattr__(self, name):
         return getattr(self.A, name)
 
-    def __getitem__(self, key):
-        return _StencilRows(self.A[key], self.log, sliced=True)
+    def prefix(self, v, m, out):
+        product = self.A.prefix(v, m, out)
+
+        def logged():
+            self.log.append(m)
+            product()
+
+        return logged
 
     def __matmul__(self, v):
-        if self.sliced:
-            self.log.append(self.A.shape[0])
         return self.A @ v
 
 
 def rows_multiplied(disc, hx, xs, dt, gh_x, gh_w):
     """``_kernels.dp_backward``'s returns and the stencil rows it multiplies, one count a step.
 
-    Products by the whole stencil (the one-time test per lattice) are not
-    counted.
+    Full products (the one-time test per lattice) are not counted.
     """
     log = []
     stencil = _kernels.expectation_stencil

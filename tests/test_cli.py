@@ -397,9 +397,8 @@ def _fresh_cli(argv, out_dir):
 
 
 class TestModuleLoads:
-    """Each command loads only the SciPy subpackages it calls: only the
-    lattice (``oracle``, and ``verify`` on a problem with a lattice) loads
-    any, and that is ``scipy.sparse``."""
+    """No command loads SciPy: the solver side, the envelope and the
+    lattice all run on NumPy alone."""
 
     def test_import_loads_no_scipy(self):
         assert _scipy_modules_after("import stopbound") == set()
@@ -441,16 +440,11 @@ class TestModuleLoads:
         """)
         assert loaded == set()
 
-    def test_oracle_loads_only_sparse(self, tmp_path):
-        loaded = _scipy_modules_after(f"""
-            import contextlib, io
-            from stopbound import cli
-            with contextlib.redirect_stdout(io.StringIO()):
-                rc = cli.main(["oracle", "--problem", "linear", "--t-min", "-1.0",
-                               "--t-steps", "64", "--x-steps", "64", "--nodes", "10",
-                               "--out-dir", {str(tmp_path)!r}])
-            assert rc == 0, rc
-        """)
-        assert "scipy.sparse" in loaded
-        assert "scipy.optimize" not in loaded
-        assert "scipy.integrate" not in loaded
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--problem", "linear", "--t-min", "-1.0", "--t-steps", "64",
+         "--x-steps", "64", "--nodes", "10"],
+        ["verify", "--problem", "linear", "--t-steps", "500", "--x-steps", "500"],
+    ], ids=["oracle", "verify-linear"])
+    def test_lattice_commands_load_no_scipy(self, argv, tmp_path):
+        rc, loaded, _ = _fresh_cli(argv, tmp_path)
+        assert (rc, loaded) == (cli.EXIT_OK, set())
