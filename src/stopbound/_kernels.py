@@ -1,9 +1,11 @@
 """Performance-critical numerical kernels, one NumPy implementation each.
 
-The solver and the envelope read ``residuals`` and ``surrogate_objective``;
-the oracle reads ``dp_backward`` and ``mc_first_crossing``.  ``sweep``, the
-coordinate descent that the solver no longer runs, stays only because the
-benchmark's tracer still reports its call site.
+The solver reads ``residuals``, ``fredholm`` reads ``residuals`` and
+``penalties``, and the oracle reads ``dp_backward`` and
+``mc_first_crossing``; the envelope sums its residuals from prefix sums of
+its own.  ``sweep``, the coordinate descent that the solver no longer runs,
+and ``surrogate_objective``, which only ``sweep`` reads, stay only because
+the benchmark's tracer still reports ``sweep``'s call site.
 Callers look every kernel up as an attribute of this module, so a profiler
 can wrap it in one place.  ``dp_backward`` loops over time slices, each
 step one product by a banded stencil (one tap set for every row, the edge
@@ -34,6 +36,7 @@ import numpy as np
 
 __all__ = [
     "residuals",
+    "penalties",
     "surrogate_objective",
     "sweep",
     "dp_backward",
@@ -61,28 +64,40 @@ def residuals(lap, W, gam, dvals):
     The exponent is capped at 700, so the exponential cannot overflow.  It
     sets no NumPy error state itself: entering ``np.errstate`` costs about
     2.3 µs, a third of a call at 15 parameters and 29 segments, so each
-    caller enters it once (``solver.solve`` around its polishes,
-    ``Tabulation.residual_vector`` and ``fredholm.residual``).
+    caller enters it once (``solver.solve`` around its polishes and
+    ``Tabulation.residual_vector``).
     """
     E = np.exp(np.minimum(gam[:, None] * dvals[None, :], 700.0))
     return lap + (E * W).sum(axis=1)
 
 
-def surrogate_objective(lap, W, gam, c2, dvals):
-    """Penalised objective with a finite graded sentinel past the pole.
+def penalties(c2, R):
+    """``F_c(R) = (c**2 R + 1/(1 + c**2 R))**2`` per entry, ``+inf`` at and past the pole.
 
-    Inside the admissible region (1 + c^2 R > 0 for every c) this equals
-    ``sum_l (u_l + 1/(1+u_l))**2`` with ``u_l = c_l**2 R_l``.  Outside it
-    returns ``1e12 * (1 + sum of squared violations)`` which is ordered so
-    a minimiser can walk back into the admissible region.
+    ``c2`` holds ``c * c``, so ``u = c2 * R`` keeps the product order
+    ``(c * c) * R``; the pole is ``1 + u <= 0``.  Scalars broadcast too.
     """
-    u = c2 * residuals(lap, W, gam, dvals)
-    bad = 1.0 + u
+    u = c2 * R
+    inside = 1.0 + u
+    pole = inside <= 0.0
+    s = u + 1.0 / np.where(pole, 1.0, inside)
+    return np.where(pole, np.inf, s * s)
+
+
+def surrogate_objective(lap, W, gam, c2, dvals):
+    """Summed penalties with a finite graded sentinel past the pole.
+
+    Inside the admissible region (1 + c^2 R > 0 for every c) this is the
+    sum of :func:`penalties`.  Outside it returns
+    ``1e12 * (1 + sum of squared violations)`` which is ordered so a
+    minimiser can walk back into the admissible region.
+    """
+    R = residuals(lap, W, gam, dvals)
+    bad = 1.0 + c2 * R
     if np.any(bad <= 0.0):
         v = np.minimum(bad, 0.0)
         return _SENTINEL * (1.0 + float((v * v).sum()))
-    s = u + 1.0 / bad
-    return float((s * s).sum())
+    return float(penalties(c2, R).sum())
 
 
 def sweep(lap, W, gam, c2, d, lower, upper, scan_points=25, node_tol=1e-9):

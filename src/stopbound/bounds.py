@@ -95,10 +95,6 @@ def _monotone_from_right(v: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(v[::-1])[::-1]
 
 
-def _monotone_from_left(v: np.ndarray) -> np.ndarray:
-    return np.minimum.accumulate(v)
-
-
 def _prefix_sums(tab: Tabulation, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Running sums over segments of ``exp(gam*values)*W`` and of ``W``.
 
@@ -218,8 +214,7 @@ def upper_step(p: Problem, lower: BoundaryGrid, tab: Tabulation) -> BoundaryGrid
     out[k[infeasible]] = lower.values[k[infeasible]]
     k = k[~infeasible]
     out[k] = _lockstep_bisect(lambda k, t: ~holds(k, t), k, t_max)[0]
-    out = _monotone_from_left(np.maximum(out, lower.values))
-    return lower.with_values(np.minimum(out, 0.0))
+    return lower.with_values(np.minimum.accumulate(np.maximum(out, lower.values)))
 
 
 def initial_envelope(p: Problem, nodes: np.ndarray, cgrid: CGrid) -> BoundaryEnvelope:

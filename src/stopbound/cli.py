@@ -77,7 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--problem", choices=_BUILTINS, help="builtin problem label")
-        sp.add_argument("--problem-file", help="path to a key=value problem definition")
+        if name not in ("verify", "oracle"):
+            # A problem file carries no payoff, which the lattice needs.
+            sp.add_argument("--problem-file", help="path to a key=value problem definition")
         sp.add_argument("--rho", type=float, default=1.0,
                         help="put: rate over squared volatility")
         sp.add_argument("--theta", type=float, default=0.5,
@@ -155,7 +157,17 @@ def _write_csv(out_dir: str, name: str, header: List[str], rows) -> str:
     return path
 
 
+def _builtin_problem(args: argparse.Namespace) -> Problem:
+    """The problem of ``--problem`` (with ``--rho`` and ``--theta`` for the put)."""
+    if args.problem is None:
+        raise _UsageError(f"{args.subcommand} requires --problem")
+    if args.problem == "american_put":
+        return builtin("american_put", rho=args.rho, theta=args.theta)
+    return builtin(args.problem)
+
+
 def _get_problem(args: argparse.Namespace) -> Problem:
+    """The problem of ``--problem-file`` or ``--problem``, for the commands that take both."""
     if args.problem_file:
         try:
             return load_problem_file(args.problem_file)
@@ -163,14 +175,12 @@ def _get_problem(args: argparse.Namespace) -> Problem:
             raise _UsageError(str(exc)) from exc
     if args.problem is None:
         raise _UsageError("one of --problem or --problem-file is required")
-    if args.problem == "american_put":
-        return builtin("american_put", rho=args.rho, theta=args.theta)
-    return builtin(args.problem)
+    return _builtin_problem(args)
 
 
 def _coefficient(p: Problem, report: Optional[solver.SolveReport] = None) -> float:
     """The small-y coefficient ``B``: the one a solve's prior used, if any."""
-    if report is not None and report.prior_B is not None:
+    if report is not None:
         return report.prior_B
     return constants_mod.solve_B(p.beta, p.m_ratio).B
 
@@ -287,12 +297,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    p = _get_problem(args)
+    p = _builtin_problem(args)
     ref = oracle.refined_boundary(p, args.t_min, args.t_steps, args.x_steps)
     _write_manifest(args)
     _write_csv(args.out_dir, "oracle_tb.csv", ["t", "b"],
                zip(ref.t_values, ref.boundary))
-    if not p.b_inf_unbounded and math.isfinite(p.b_inf):
+    if math.isfinite(p.b_inf):
         nodes = np.linspace(0.0, p.b_inf, args.nodes)
         dg, _trunc = oracle.extract_d(ref.coarse, nodes)
         _write_csv(args.out_dir, "oracle_yd.csv", ["y", "d"],
@@ -305,7 +315,7 @@ def cmd_residuals(args: argparse.Namespace) -> int:
     p = _get_problem(args)
     grid = fredholm.BoundaryGrid.uniform(p, args.nodes)
     cgrid = fredholm.CGrid.for_problem(p, args.cvals)
-    if getattr(args, "boundary", None):
+    if args.boundary:
         try:
             data = np.genfromtxt(args.boundary, delimiter=",", names=True)
         except OSError as exc:
@@ -333,6 +343,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     label = args.problem
     if label is None:
         raise _UsageError("verify requires --problem")
+    if label == "american_put":
+        # The put's lattice: a shorter horizon and a finer space grid.  The
+        # manifest records the lattice that runs.
+        args.t_min = max(args.t_min, -4.0)
+        args.x_steps = max(args.x_steps, 3000)
+    _write_manifest(args)
     lines: list = []
     all_ok = True
     if label == "stadje":
@@ -345,17 +361,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         sign_change = (fredholm.closed_form_residual(alpha - 0.05, 1.0)
                        * fredholm.closed_form_residual(alpha + 0.05, 1.0))
         all_ok &= _check("residual changes sign across the root", sign_change, 0.0, lines)
-    elif label in ("linear", "american_put"):
-        p = _get_problem(args)
+    else:
+        p = _builtin_problem(args)
         grid, cgrid, env = _envelope(p, args, 3)
         report = solver.solve(p, cgrid, env)
         if not report.converged:
             print("solver did not converge")
             _print_convergence(report)
             return EXIT_NO_CONVERGENCE
-        t_min = args.t_min if label == "linear" else max(args.t_min, -4.0)
-        x_steps = args.x_steps if label == "linear" else max(args.x_steps, 3000)
-        ref = oracle.refined_boundary(p, t_min, args.t_steps, x_steps)
+        ref = oracle.refined_boundary(p, args.t_min, args.t_steps, args.x_steps)
         d_lo, d_hi, trunc = oracle.d_intervals(ref, grid.nodes)
         d = report.grid.values[:-1]
         gap = np.maximum(np.maximum(d - d_hi, d_lo - d), 0.0)
@@ -373,8 +387,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             all_ok &= _check("boundary root sits at log(theta)",
                              abs(p.original_coordinate(0.0) - math.log(args.theta)),
                              1e-12, lines)
-    else:
-        raise _UsageError(f"verify does not support problem {label!r}")
     for ln in lines:
         print(ln)
     print("VERIFY " + ("PASSED" if all_ok else "FAILED"))

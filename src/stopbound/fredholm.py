@@ -93,7 +93,7 @@ class BoundaryGrid:
     @classmethod
     def uniform(cls, p: Problem, n_nodes: int) -> "BoundaryGrid":
         """Zero-valued grid on ``n_nodes`` equispaced nodes over [0, b_inf]."""
-        if p.b_inf_unbounded or not math.isfinite(p.b_inf):
+        if not math.isfinite(p.b_inf):
             raise ValueError(
                 f"problem {p.label!r} has an unbounded terminal continuation set; "
                 "a finite grid cannot cover it"
@@ -184,10 +184,9 @@ class Tabulation:
 
     def residual_vector(self, grid: BoundaryGrid) -> ResidualVector:
         """Residuals and penalties of ``grid``'s values at every parameter."""
-        d = np.ascontiguousarray(grid.values[:-1])
         with np.errstate(over="ignore", under="ignore"):
-            R = _kernels.residuals(self.lap, self.W, self.gam, d)
-        pens = np.array([penalty(c, r) for c, r in zip(self.c_values, R)])
+            R = _kernels.residuals(self.lap, self.W, self.gam, grid.values[:-1])
+            pens = _kernels.penalties(self.c2, R)
         return ResidualVector(self.c_values.copy(), residuals=R, penalties=pens)
 
 
@@ -260,18 +259,13 @@ def residual(p: Problem, grid: BoundaryGrid, c: float) -> float:
     It is the residual of the one-parameter :class:`Tabulation`, so ``c`` at
     or below ``sqrt(2r)`` raises :class:`InadmissibleCError`.
     """
-    tab = tabulate(p, grid, CGrid([c]))
-    with np.errstate(over="ignore", under="ignore"):
-        return float(_kernels.residuals(tab.lap, tab.W, tab.gam, grid.values[:-1])[0])
+    return float(tabulate(p, grid, CGrid([c])).residual_vector(grid).residuals[0])
 
 
 def penalty(c: float, x: float) -> float:
-    """``F_c(x) = (c**2 x + 1/(1 + c**2 x))**2``, ``+inf`` past the pole."""
-    u = c * c * x
-    if 1.0 + u <= 0.0:
-        return math.inf
-    s = u + 1.0 / (1.0 + u)
-    return s * s
+    """``F_c(x) = (c**2 x + 1/(1 + c**2 x))**2``, ``+inf`` at and past the pole."""
+    with np.errstate(over="ignore"):
+        return float(_kernels.penalties(c * c, x))
 
 
 def objective(p: Problem, grid: BoundaryGrid, cgrid: CGrid) -> ResidualVector:

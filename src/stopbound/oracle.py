@@ -93,7 +93,6 @@ class DPGrid:
     x_values: np.ndarray
     value: np.ndarray
     boundary: np.ndarray
-    r: float
 
     @property
     def dt(self) -> float:
@@ -121,7 +120,7 @@ class RefinedBoundary:
 def default_x_bounds(p: Problem, t_min: float) -> Tuple[float, float]:
     """Spatial truncation wide enough for the diffusion over ``[t_min, 0]``."""
     span = math.sqrt(-t_min)
-    if p.b_inf_unbounded or not math.isfinite(p.b_inf):
+    if not math.isfinite(p.b_inf):
         return (-6.0 * span, 6.0 * span)
     return (-4.0 * span, p.b_inf + 4.0 * span)
 
@@ -174,7 +173,19 @@ def backward_induction(
     gh_x, gh_w = _gauss_hermite()
     v_first, v_terminal, b = _kernels.dp_backward(disc, hx, xs, dt, gh_x, gh_w)
     return DPGrid(t_values=ts, x_values=xs, value=np.stack([v_first, v_terminal]),
-                  boundary=np.minimum.accumulate(b), r=p.r)
+                  boundary=np.minimum.accumulate(b))
+
+
+def _time_of(y: np.ndarray, t_values: np.ndarray, boundary: np.ndarray) -> np.ndarray:
+    """Latest time at which each ``y`` is below the non-increasing ``boundary``.
+
+    Linear between slices, clamped to ``<= 0``, and ``0`` at ``y <= 0``.
+    """
+    # boundary is non-increasing in t, so reversed arrays are interp-ready
+    v = np.interp(y, boundary[::-1], t_values[::-1], left=0.0, right=t_values[0])
+    v = np.minimum(v, 0.0)
+    v[y <= 0.0] = 0.0
+    return v
 
 
 def extract_d(grid: DPGrid, nodes: np.ndarray) -> Tuple[BoundaryGrid, np.ndarray]:
@@ -190,13 +201,7 @@ def extract_d(grid: DPGrid, nodes: np.ndarray) -> Tuple[BoundaryGrid, np.ndarray
     if np.any(nodes < grid.x_values[0]) or np.any(nodes > grid.x_values[-1]):
         raise OutOfRangeError("query node outside the lattice's spatial range")
     t_min = grid.t_values[0]
-    # boundary is non-increasing in t, so reversed arrays are interp-ready
-    b_rev = grid.boundary[::-1]
-    t_rev = grid.t_values[::-1]
-    d = np.interp(nodes, b_rev, t_rev, left=0.0, right=t_min)
-    d = np.minimum(d, 0.0)
-    d[nodes <= 0.0] = 0.0
-    d = np.minimum.accumulate(d)
+    d = np.minimum.accumulate(_time_of(nodes, grid.t_values, grid.boundary))
     truncated = d <= t_min + 3.0 * grid.dt
     d[truncated] = np.minimum(d[truncated], t_min)
     return BoundaryGrid(nodes=nodes, values=d), truncated
@@ -240,17 +245,8 @@ def d_intervals(
     """
     nodes = np.asarray(nodes, dtype=float)
     t_min = ref.t_values[0]
-    b_rev = ref.boundary[::-1]
-    t_rev = ref.t_values[::-1]
-
-    def d_of(y: np.ndarray) -> np.ndarray:
-        v = np.interp(y, b_rev, t_rev, left=0.0, right=t_min)
-        v = np.minimum(v, 0.0)
-        v[y <= 0.0] = 0.0
-        return v
-
-    d_lo = d_of(nodes[1:] + ref.dx)
-    d_hi = d_of(np.maximum(nodes[:-1] - ref.dx, 0.0))
+    d_lo = _time_of(nodes[1:] + ref.dx, ref.t_values, ref.boundary)
+    d_hi = _time_of(np.maximum(nodes[:-1] - ref.dx, 0.0), ref.t_values, ref.boundary)
     truncated = d_lo <= t_min + 3.0 * ref.dt
     return d_lo, d_hi, truncated
 

@@ -70,8 +70,8 @@ class Problem:
         ``c -> integral_{-inf}^0 exp(c*y) dh_tilde(y)`` including atoms.
     b_inf : float
         Right endpoint of the infinite-horizon continuation set in the
-        normalized frame; ``math.inf`` with ``b_inf_unbounded`` set for
-        problems whose boundary is unbounded.
+        normalized frame; ``math.inf`` for problems whose boundary is
+        unbounded.
     beta, m_ratio : float
         Local power of ``h_tilde`` at the origin and ratio of its one-sided
         leading coefficients; select the universal boundary constant.
@@ -101,12 +101,11 @@ class Problem:
     flip: bool = False
     h: Optional[Callable[[float], float]] = None
     atoms: Tuple[Tuple[float, float], ...] = ()
-    b_inf_unbounded: bool = False
 
     def __post_init__(self):
         if self.r < 0.0:
             raise ValueError("discount rate must be non-negative")
-        if not self.b_inf_unbounded and not self.b_inf > 0.0:
+        if not self.b_inf > 0.0:
             raise ValueError("b_inf must be positive")
 
     @property
@@ -227,7 +226,6 @@ def _stadje() -> Problem:
         h_tilde=lambda y: y,
         laplace_h_tilde=lambda c: -1.0 / (c * c),
         b_inf=math.inf,
-        b_inf_unbounded=True,
         beta=1.0,
         m_ratio=1.0,
         shift=0.0,
@@ -354,7 +352,6 @@ def remove_drift(p: DriftedProblem) -> Problem:
         h_tilde=h_tilde,
         laplace_h_tilde=numeric_laplace(h_tilde, growth=max(0.0, -mu) + 1e-9),
         b_inf=math.inf,
-        b_inf_unbounded=True,
     )
 
 

@@ -1,4 +1,4 @@
-"""Boundary solver: penalized residual minimization over monotone grids.
+"""Boundary solver: regularized least-squares residual minimization over monotone grids.
 
 The discrete identity is underdetermined: with more nodes than kernel
 parameters its zero set is a manifold, not a point.  A least-squares
@@ -87,9 +87,10 @@ class SolveReport:
     asymptotic prior ``-B * y**2`` that pulled the polish (and is the
     ``asymptotic`` seed), so a caller need not solve for it again.
 
-    ``objective_trace`` holds the surrogate objective (on the
-    scale-normalized residuals) of the seed that ``grid`` was polished from,
-    then of ``grid`` when that is lower; it never increases.
+    ``objective_trace`` holds the objective (the summed penalties of the
+    raw residuals, as :attr:`objective` reports it) of the seed that
+    ``grid`` was polished from, then of ``grid`` when that is not higher; it
+    never increases.  A seed past the penalty pole reads ``inf``.
     """
 
     grid: BoundaryGrid
@@ -108,10 +109,6 @@ class SolveReport:
         return self.residual_vector.objective
 
 
-def _monotone_down(v: np.ndarray) -> np.ndarray:
-    return np.minimum.accumulate(v)
-
-
 def _asymptotic_values(
     p: Problem, envelope: BoundaryEnvelope, B: Optional[float] = None
 ) -> np.ndarray:
@@ -120,7 +117,7 @@ def _asymptotic_values(
         B = solve_B(p.beta, p.m_ratio).B
     y = envelope.lower.nodes
     vals = np.clip(-B * y * y, envelope.lower.values, envelope.upper.values)
-    return _monotone_down(vals)
+    return np.minimum.accumulate(vals)
 
 
 def seed(
@@ -146,7 +143,7 @@ def _seed_from(
         vals = 0.5 * (envelope.lower.values + envelope.upper.values)
     else:
         raise ValueError(f"seed_mode must be one of {tuple(_OTHER_SEED)}")
-    return envelope.lower.with_values(_monotone_down(np.minimum(vals, 0.0)))
+    return envelope.lower.with_values(np.minimum.accumulate(np.minimum(vals, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -434,7 +431,7 @@ def solve(
     tab = envelope.tabulation.leading(cgrid)
     nodes = envelope.lower.nodes
     lower = envelope.lower.values
-    upper = np.minimum(envelope.upper.values, 0.0)
+    upper = envelope.upper.values
     # One prior serves as the asymptotic seed and as the polish's pull.
     prior_B = solve_B(p.beta, p.m_ratio).B
     prior = _asymptotic_values(p, envelope, prior_B)
@@ -450,29 +447,28 @@ def solve(
         start = _seed_from(envelope, mode, prior).values.copy()
         start[-1] = lower[-1]  # held: the residual loses all sensitivity to it
         polished, result = _polish(start, lapn, Wn, gam, c2, prior, nodes, p.b_inf, t_max)
-        polished = _monotone_down(np.clip(polished, lower, upper))
+        polished = np.minimum.accumulate(np.clip(polished, lower, upper))
         polished[-1] = lower[-1]
         return _Polished(start, polished, result, _max_residual(lapn, Wn, gam, polished))
 
-    # One error state for every residual evaluation below: the polishes'
-    # least-squares runs, their max|R| and the objective trace.
+    # One error state for every residual evaluation of the polishes: their
+    # least-squares runs and their max|R|.
     with np.errstate(over="ignore", under="ignore"):
         attempts = [polish_from(seed_mode)]
         if not attempts[0].accepted:
             attempts.append(polish_from(_OTHER_SEED[seed_mode]))
-        accepted = attempts[-1].accepted
-        best = attempts[-1] if accepted else min(attempts, key=lambda a: a.max_residual)
-
-        trace = [_kernels.surrogate_objective(lapn, Wn, gam, c2, best.start[:-1])]
-        new_obj = _kernels.surrogate_objective(lapn, Wn, gam, c2, best.values[:-1])
-    if new_obj <= trace[-1]:
-        trace.append(new_obj)
+    accepted = attempts[-1].accepted
+    best = attempts[-1] if accepted else min(attempts, key=lambda a: a.max_residual)
 
     grid = envelope.lower.with_values(best.values)
+    rv = tab.residual_vector(grid)
+    trace = [tab.residual_vector(envelope.lower.with_values(best.start)).objective]
+    if rv.objective <= trace[-1]:
+        trace.append(rv.objective)
     return SolveReport(
         grid=grid,
         objective_trace=trace,
-        residual_vector=tab.residual_vector(grid),
+        residual_vector=rv,
         polishes=len(attempts),
         converged=accepted,
         max_residual=best.max_residual,

@@ -225,6 +225,50 @@ class TestOracle:
         assert rows == expected
 
 
+class TestLatticeCommands:
+    """``oracle`` and ``verify`` take builtin problems only: the lattice needs a payoff."""
+
+    @pytest.mark.parametrize("command", ["oracle", "verify"])
+    def test_problem_file_is_a_usage_error(self, command, tmp_path, capsys):
+        path = tmp_path / "prob.txt"
+        path.write_text("r = 1\nb_inf = 0.7\nhtilde_expr = 2*y - 1\n", encoding="utf-8")
+        rc = cli.main([command, "--problem", "linear", "--problem-file", str(path),
+                       "--out-dir", str(tmp_path)])
+        assert rc == cli.EXIT_USAGE
+        assert "unrecognized arguments: --problem-file" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.txt").exists()
+
+    def test_old_oracle_manifest_with_problem_file_replays(self, tmp_path, capsys):
+        # Oracle manifests once named problem_file; the key is skipped on
+        # replay, whatever its value.
+        first, second = tmp_path / "a", tmp_path / "b"
+        argv = ["oracle", "--problem", "linear", "--t-min", "-1.0", "--t-steps", "64",
+                "--x-steps", "64", "--nodes", "10"]
+        assert cli.main(argv + ["--out-dir", str(first)]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        manifest = (first / "manifest.txt").read_text()
+        assert "\nproblem_file=" not in manifest
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(manifest + "problem_file=/no/such/file\n")
+        assert cli.main(["oracle", "--config", str(cfg), "--out-dir", str(second)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == out
+        for name in ("oracle_tb.csv", "oracle_yd.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_verify_manifest_records_the_put_lattice_and_replays(self, tmp_path, capsys):
+        first, second = tmp_path / "a", tmp_path / "b"
+        rc = cli.main(["verify", "--problem", "american_put", "--t-min", "-10",
+                       "--t-steps", "100", "--out-dir", str(first)])
+        out = capsys.readouterr().out
+        manifest = (first / "manifest.txt").read_text()
+        assert "\nt_min=-4.0\n" in manifest and "\nx_steps=3000\n" in manifest
+        replay = cli.main(["verify", "--config", str(first / "manifest.txt"),
+                           "--out-dir", str(second)])
+        assert replay == rc
+        assert capsys.readouterr().out == out
+        assert (second / "manifest.txt").read_text() == manifest.replace(str(first), str(second))
+
+
 class TestConfigAndManifest:
     def test_config_defaults_and_explicit_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -299,15 +343,16 @@ class TestConfigAndManifest:
         "--seed-mode": "asymptotic", "--t-min": "-1", "--t-steps": "64", "--x-steps": "64",
         "--boundary": "b.csv", "--out-dir": ".", "--config": "run.cfg",
     }
-    PROBLEM_FLAGS = ("--problem", "--problem-file", "--rho", "--theta", "--nodes")
+    BUILTIN_FLAGS = ("--problem", "--rho", "--theta", "--nodes")
+    PROBLEM_FLAGS = BUILTIN_FLAGS + ("--problem-file",)
     OUTPUT_FLAGS = ("--out-dir", "--config")
     COMMAND_FLAGS = {
         "constants": ("--beta", "--m-ratio") + OUTPUT_FLAGS,
         "solve": PROBLEM_FLAGS + ("--cvals", "--iterations", "--seed-mode") + OUTPUT_FLAGS,
         "bounds": PROBLEM_FLAGS + ("--cvals", "--iterations") + OUTPUT_FLAGS,
-        "verify": PROBLEM_FLAGS + ("--cvals", "--t-min", "--t-steps", "--x-steps")
+        "verify": BUILTIN_FLAGS + ("--cvals", "--t-min", "--t-steps", "--x-steps")
         + OUTPUT_FLAGS,
-        "oracle": PROBLEM_FLAGS + ("--t-min", "--t-steps", "--x-steps") + OUTPUT_FLAGS,
+        "oracle": BUILTIN_FLAGS + ("--t-min", "--t-steps", "--x-steps") + OUTPUT_FLAGS,
         "residuals": PROBLEM_FLAGS + ("--cvals", "--boundary") + OUTPUT_FLAGS,
     }
 

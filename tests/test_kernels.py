@@ -1,5 +1,7 @@
 """Numerical kernels: sweep behaviour, the penalty sentinel, Monte Carlo edges."""
 
+import math
+
 import numpy as np
 
 from stopbound import _kernels
@@ -70,6 +72,39 @@ class TestSentinel:
         )
         assert ok < _kernels._SENTINEL
         assert _kernels._SENTINEL <= shallow < deep
+
+
+def _scalar_penalty(c, x):
+    """``F_c(x)`` written out for one parameter, as a reference."""
+    u = c * c * x
+    if 1.0 + u <= 0.0:
+        return math.inf
+    s = u + 1.0 / (1.0 + u)
+    return s * s
+
+
+class TestPenalties:
+    def test_kernel_equals_scalar_formula_across_the_pole(self):
+        cs = np.array([0.3, 0.5, 1.0, 1.7, 2.0, 3.1])
+        # x from well inside the admissible region to past the pole, plus
+        # the exact poles of c = 0.5, 1 and 2 (c**2 x = -1 in floats).
+        xs = np.concatenate([np.linspace(-3.0, 3.0, 121), [-4.0, -1.0, -0.25]])
+        F = _kernels.penalties((cs * cs)[:, None], xs[None, :])
+        expected = np.array([[_scalar_penalty(c, x) for x in xs.tolist()] for c in cs.tolist()])
+        assert np.array_equal(F, expected)
+        inside = 1.0 + (cs * cs)[:, None] * xs[None, :]
+        pole = inside <= 0.0
+        assert (inside == 0.0).sum() >= 3 and not pole.all()
+        assert np.all(F[pole] == math.inf) and np.all(np.isfinite(F[~pole]))
+        for i, c in enumerate(cs.tolist()):
+            for j, x in enumerate(xs.tolist()):
+                assert fredholm.penalty(c, x) == F[i, j]
+
+    def test_residual_vector_reads_the_kernel(self):
+        p, g, cg, *_ = _fixture_arrays()
+        rv = fredholm.tabulate(p, g, cg).residual_vector(g)
+        expected = [_scalar_penalty(c, r) for c, r in zip(cg.values.tolist(), rv.residuals.tolist())]
+        assert rv.penalties.tolist() == expected
 
 
 class TestMonteCarloEdges:

@@ -1,9 +1,12 @@
 """Problem construction, normalization data and definition files."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
+from stopbound import cli, oracle
+from stopbound.fredholm import BoundaryGrid
 from stopbound.numerics import DEFAULT_QUADRATURE
 from stopbound.problem import (
     DriftedProblem,
@@ -42,7 +45,7 @@ class TestBuiltins:
     def test_stadje(self):
         p = builtin("stadje")
         assert p.r == 0.0
-        assert p.b_inf_unbounded
+        assert math.isinf(p.b_inf)
         assert p.h(2.0) == pytest.approx(-8.0 / 3.0)
         assert p.h_tilde(0.5) == pytest.approx(0.5)
 
@@ -148,6 +151,23 @@ class TestProblemValidation:
                 laplace_h_tilde=lambda c: 0.0,
                 b_inf=0.0,
             )
+
+
+class TestUnboundedProblem:
+    """``b_inf = math.inf`` alone marks an unbounded terminal continuation set."""
+
+    def test_every_reader_treats_it_as_unbounded(self, tmp_path, capsys):
+        p = replace(builtin("linear"), b_inf=math.inf)
+        with pytest.raises(ValueError, match="unbounded"):
+            BoundaryGrid.uniform(p, 10)
+        lo, hi = oracle.default_x_bounds(p, -4.0)
+        assert lo == -hi
+        # stadje's b_inf is math.inf (TestBuiltins::test_stadje)
+        rc = cli.main(["oracle", "--problem", "stadje", "--t-min", "-1.0", "--t-steps", "64",
+                       "--x-steps", "64", "--out-dir", str(tmp_path)])
+        assert rc == cli.EXIT_OK
+        assert (tmp_path / "oracle_tb.csv").exists()
+        assert not (tmp_path / "oracle_yd.csv").exists()
 
 
 class TestProblemFile:

@@ -185,13 +185,8 @@ def put30():
 
 
 def _seed_objective(p, cgrid, env, mode="asymptotic"):
-    """The solver's surrogate objective at the seed of ``mode``."""
-    tab = env.tabulation.leading(cgrid)
-    scale = float(np.max(np.abs(tab.lap)))
-    d = solver.seed(p, env, mode).values
-    return _kernels.surrogate_objective(
-        tab.lap / scale, tab.W / scale, tab.gam, tab.c2, np.ascontiguousarray(d[:-1])
-    )
+    """The objective, as ``SolveReport.objective`` reads it, of the seed of ``mode``."""
+    return env.tabulation.leading(cgrid).residual_vector(solver.seed(p, env, mode)).objective
 
 
 class TestSeedPolish:
@@ -204,6 +199,7 @@ class TestSeedPolish:
         trace = rep.objective_trace
         assert trace[0] == _seed_objective(p, cgrid, env)
         assert all(a >= b for a, b in zip(trace, trace[1:]))
+        assert trace[-1] == rep.objective
 
     def test_missed_seed_polish_retries_from_the_other_seed(self, linear30, monkeypatch):
         # The first polish returns the seed unchanged, which misses the
@@ -221,7 +217,19 @@ class TestSeedPolish:
         assert len(trace) == 2
         assert trace[0] == _seed_objective(p, cgrid, env, "envelope_midpoint")
         assert all(a >= b for a, b in zip(trace, trace[1:]))
+        assert trace[-1] == rep.objective
         assert np.max(np.abs(rep.grid.values - LINEAR_30x15_500_SWEEPS)) <= 1e-7
+
+    def test_seed_past_the_pole_reads_inf(self):
+        # The midpoint seed of the put (1, 0.5) at 60 x 40, two envelope
+        # iterations, puts some 1 + c**2 R at or below 0.
+        p = builtin("american_put", rho=1.0, theta=0.5)
+        nodes = BoundaryGrid.uniform(p, 60).nodes
+        cgrid = CGrid.for_problem(p, 40)
+        env = bounds_mod.iterate(p, nodes, cgrid, 2)
+        rep = solver.solve(p, cgrid, env, "envelope_midpoint")
+        assert rep.converged
+        assert rep.objective_trace == [math.inf, rep.objective]
 
     @pytest.mark.parametrize("mode", ["asymptotic", "envelope_midpoint"])
     def test_both_polishes_miss(self, mode):
