@@ -61,6 +61,7 @@ __all__ = [
     "extract_d",
     "refined_boundary",
     "d_intervals",
+    "expiry_root",
     "mc_value",
 ]
 
@@ -69,6 +70,10 @@ __all__ = [
 # time step for every path: half hold the normals of the running pairs, half
 # the positions of their second members.
 _MC_BLOCK_VALUES = 2**20
+
+
+# :func:`expiry_root` fits the slices at times -_EXPIRY_WINDOW <= t < 0.
+_EXPIRY_WINDOW = 0.05
 
 
 class ResolutionError(ValueError):
@@ -249,6 +254,26 @@ def d_intervals(
     d_hi = _time_of(np.maximum(nodes[:-1] - ref.dx, 0.0), ref.t_values, ref.boundary)
     truncated = d_lo <= t_min + 3.0 * ref.dt
     return d_lo, d_hi, truncated
+
+
+def expiry_root(ref: RefinedBoundary) -> Tuple[float, float]:
+    """Root and square-root coefficient ``(a, alpha)`` of the boundary at expiry.
+
+    Near expiry the boundary leaves the edge of the terminal continuation
+    set, the origin of the normalized frame, like ``alpha * sqrt(-t)``.  A
+    least-squares fit of ``b = a + alpha * sqrt(-t)`` over the slices with
+    ``-0.05 <= t < 0`` measures where the lattice puts that edge: ``a`` is
+    its distance from the origin.  Fewer than two slices in the window
+    raise :class:`ResolutionError`.
+    """
+    t = ref.t_values
+    window = (t >= -_EXPIRY_WINDOW) & (t < 0.0)
+    if np.count_nonzero(window) < 2:
+        raise ResolutionError("fewer than two lattice slices within 0.05 of expiry")
+    s = np.sqrt(-t[window])
+    design = np.stack([np.ones_like(s), s], axis=1)
+    (a, alpha), *_ = np.linalg.lstsq(design, ref.boundary[window], rcond=None)
+    return float(a), float(alpha)
 
 
 def _mc_stream(

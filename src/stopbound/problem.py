@@ -4,8 +4,8 @@ A problem is stored in the frame where the terminal-time continuation set
 is the negative half-line: the generator payoff ``h_tilde = r*h - h''/2``
 is non-positive left of the origin and non-negative on ``(0, b_inf)``,
 ``b_inf`` being the boundary of the corresponding infinite-horizon problem.
-``shift`` (together with ``flip``) records the affine change of variable
-back to the original coordinates.
+The change of variable into that frame is each constructor's own (see
+:func:`american_put`); no output is written in the original coordinates.
 
 ``h_tilde`` may carry point masses (``atoms``): payoffs that satisfy the
 generator relation only weakly, such as the kinked put payoff, contribute
@@ -18,7 +18,7 @@ from __future__ import annotations
 import ast
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 from .numerics import RootBracket, find_root, integrate_semi_infinite
@@ -81,11 +81,6 @@ class Problem:
         ``h_tilde = 4y`` on the left and ``y`` on the right has
         ``m_ratio = 4``, and its lattice boundary gives ``B`` close to
         ``solve_B(1, 4) = 1.0621``, not ``solve_B(1, 0.25) = 6.711``.
-    shift : float
-        Normalization translate; with ``flip`` it maps a normalized
-        coordinate ``y`` back to the original one.
-    flip : bool
-        True when normalization mirrored the axis.
     atoms : tuple of (location, weight)
         Point masses of ``h_tilde``.
     """
@@ -97,8 +92,6 @@ class Problem:
     b_inf: float
     beta: float = 1.0
     m_ratio: float = 1.0
-    shift: float = 0.0
-    flip: bool = False
     h: Optional[Callable[[float], float]] = None
     atoms: Tuple[Tuple[float, float], ...] = ()
 
@@ -112,10 +105,6 @@ class Problem:
     def c_min(self) -> float:
         """Lower admissibility limit for the kernel parameter."""
         return math.sqrt(2.0 * self.r)
-
-    def original_coordinate(self, y: float) -> float:
-        """Map a normalized coordinate back to the original frame."""
-        return self.shift - y if self.flip else self.shift + y
 
     def scaled(self, k: float) -> "Problem":
         """Problem with ``h_tilde`` (and its transform) multiplied by ``k > 0``.
@@ -208,7 +197,6 @@ def _linear() -> Problem:
         b_inf=b_hard,
         beta=1.0,
         m_ratio=1.0,
-        shift=0.0,
     )
 
 
@@ -228,7 +216,6 @@ def _stadje() -> Problem:
         b_inf=math.inf,
         beta=1.0,
         m_ratio=1.0,
-        shift=0.0,
     )
 
 
@@ -299,8 +286,6 @@ def american_put(rho: float = 1.0, theta: float = 0.5) -> Problem:
         b_inf=b_inf,
         beta=1.0,
         m_ratio=1.0,
-        shift=z0,
-        flip=True,
         atoms=((z0, -0.5 * rho),),
     )
 
@@ -425,13 +410,18 @@ def _parse_atoms(text: str) -> Tuple[Tuple[float, float], ...]:
     return tuple(out)
 
 
+_FILE_KEYS = ("label", "r", "beta", "m_ratio", "b_inf", "htilde_expr", "atoms", "growth")
+
+
 def load_problem_file(path: str) -> Problem:
     """Read a problem from a flat ``key=value`` definition file.
 
     Recognised keys: ``label``, ``r``, ``beta``, ``m_ratio``, ``b_inf``,
-    ``shift``, ``htilde_expr`` (an arithmetic expression in ``y`` that may
-    use ``exp``, ``log``, ``pow`` and ``max``), ``atoms``
-    (semicolon-separated ``location:weight`` pairs) and ``growth``.
+    ``htilde_expr`` (an arithmetic expression in ``y`` that may use
+    ``exp``, ``log``, ``pow`` and ``max``), ``atoms`` (semicolon-separated
+    ``location:weight`` pairs) and ``growth``.  Any other key raises
+    ``ProblemFileError`` naming it and its line, so that a misspelt key
+    cannot leave its default in force.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -445,8 +435,10 @@ def load_problem_file(path: str) -> Problem:
             continue
         if "=" not in line:
             raise ProblemFileError(f"{path}:{i}: expected key=value, got {line!r}")
-        key, val = line.split("=", 1)
-        kv[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in _FILE_KEYS:
+            raise ProblemFileError(f"{path}:{i}: unknown key {key!r}")
+        kv[key] = val
     missing = {"r", "b_inf", "htilde_expr"} - kv.keys()
     if missing:
         raise ProblemFileError(f"{path}: missing required keys {sorted(missing)}")
@@ -469,7 +461,6 @@ def load_problem_file(path: str) -> Problem:
             b_inf=float(kv["b_inf"]),
             beta=float(kv.get("beta", "1.0")),
             m_ratio=float(kv.get("m_ratio", "1.0")),
-            shift=float(kv.get("shift", "0.0")),
             atoms=atoms,
         )
     except ValueError as exc:

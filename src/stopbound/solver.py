@@ -87,10 +87,11 @@ class SolveReport:
     asymptotic prior ``-B * y**2`` that pulled the polish (and is the
     ``asymptotic`` seed), so a caller need not solve for it again.
 
-    ``objective_trace`` holds the objective (the summed penalties of the
-    raw residuals, as :attr:`objective` reports it) of the seed that
-    ``grid`` was polished from, then of ``grid`` when that is not higher; it
-    never increases.  A seed past the penalty pole reads ``inf``.
+    ``objective_trace`` holds two objectives (the summed penalties of the
+    raw residuals, as :attr:`objective` reports it): of the seed that
+    ``grid`` was polished from, then of ``grid``.  A seed past the penalty
+    pole reads ``inf``.  Nothing forces the second below the first: an
+    unconverged solve can end above its seed.
     """
 
     grid: BoundaryGrid
@@ -99,7 +100,6 @@ class SolveReport:
     polishes: int
     converged: bool
     max_residual: float
-    convergence_reason: str
     polish_status: Optional[int]
     polish_nfev: Optional[int]
     prior_B: float
@@ -107,6 +107,10 @@ class SolveReport:
     @property
     def objective(self) -> float:
         return self.residual_vector.objective
+
+    @property
+    def convergence_reason(self) -> str:
+        return "residual_bound" if self.converged else "polish_missed"
 
 
 def _asymptotic_values(
@@ -462,17 +466,14 @@ def solve(
 
     grid = envelope.lower.with_values(best.values)
     rv = tab.residual_vector(grid)
-    trace = [tab.residual_vector(envelope.lower.with_values(best.start)).objective]
-    if rv.objective <= trace[-1]:
-        trace.append(rv.objective)
+    seed_objective = tab.residual_vector(envelope.lower.with_values(best.start)).objective
     return SolveReport(
         grid=grid,
-        objective_trace=trace,
+        objective_trace=[seed_objective, rv.objective],
         residual_vector=rv,
         polishes=len(attempts),
         converged=accepted,
         max_residual=best.max_residual,
-        convergence_reason="residual_bound" if accepted else "polish_missed",
         polish_status=int(best.result.status) if accepted else None,
         polish_nfev=int(best.result.nfev) if accepted else None,
         prior_B=prior_B,
@@ -492,6 +493,4 @@ def asymptotic_check(report: SolveReport, p: Problem, k: int = 8) -> float:
         raise InsufficientDataError("need at least 3 usable nodes for the fit")
     y = report.grid.nodes[1 : k + 1]
     d = report.grid.values[1 : k + 1]
-    if y.shape[0] < 3:
-        raise InsufficientDataError("need at least 3 usable nodes for the fit")
     return float(-(d * y * y).sum() / (y**4).sum())

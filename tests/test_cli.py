@@ -148,6 +148,20 @@ class TestSolve:
         assert "convergence reason residual_bound, polishes run: 1" in out
         assert "polish status" in out
 
+    def test_unconverged_trace_ends_at_the_printed_objective(self, tmp_path, capsys):
+        # Both polishes of the put (1, 0.75) at 12 x 8 miss, and the boundary
+        # they leave sits above its seed's objective.
+        rc = cli.main(
+            ["solve", "--problem", "american_put", "--theta", "0.75", "--nodes", "12",
+             "--cvals", "8", "--out-dir", str(tmp_path)]
+        )
+        assert rc == cli.EXIT_NO_CONVERGENCE
+        out = capsys.readouterr().out
+        _header, rows = _read_csv(tmp_path / "trace.csv")
+        seed, final = (float(r[1]) for r in rows)
+        assert f"objective {final:.10f} (converged: False)" in out
+        assert final > seed
+
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_one_root_find_per_solve(self, command, tmp_path, capsys, monkeypatch):
         # The plot's small-y reference and verify's B check reuse the B of
@@ -267,6 +281,18 @@ class TestLatticeCommands:
         assert replay == rc
         assert capsys.readouterr().out == out
         assert (second / "manifest.txt").read_text() == manifest.replace(str(first), str(second))
+
+
+class TestVerifyPut:
+    def test_prints_the_measured_expiry_root(self, put_oracle, tmp_path, capsys):
+        # verify's put lattice is the put_oracle fixture's (-4, 2000 x 3000).
+        rc = cli.main(["verify", "--problem", "american_put", "--out-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        root, _alpha = oracle.expiry_root(put_oracle.ref)
+        assert root == pytest.approx(0.0057, abs=1e-4)
+        assert (f"PASS  lattice root at expiry vs log(theta), normalized: {abs(root):.6g}"
+                " (tolerance 0.015)") in out
+        assert rc == cli.EXIT_OK
 
 
 class TestConfigAndManifest:

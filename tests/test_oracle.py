@@ -351,6 +351,29 @@ class TestRefinedBoundary:
         assert diff <= r1.dx
 
 
+class TestExpiryRoot:
+    @staticmethod
+    def _boundary(t, b):
+        return oracle.RefinedBoundary(t_values=t, boundary=b, dt=t[1] - t[0], dx=0.01,
+                                      coarse=None)
+
+    def test_recovers_root_and_coefficient(self):
+        # b = a + alpha * sqrt(-t) inside the window; the slices before it
+        # and the one at expiry are off the curve and must not enter the fit.
+        t = np.linspace(-1.0, 0.0, 2001)
+        b = 0.0123 + 0.7 * np.sqrt(-t)
+        b[t < -0.05] += 5.0
+        b[-1] = -3.0
+        a, alpha = oracle.expiry_root(self._boundary(t, b))
+        assert a == pytest.approx(0.0123, abs=1e-12)
+        assert alpha == pytest.approx(0.7, abs=1e-12)
+
+    def test_needs_two_slices_in_the_window(self):
+        t = np.linspace(-1.0, 0.0, 11)
+        with pytest.raises(oracle.ResolutionError):
+            oracle.expiry_root(self._boundary(t, np.sqrt(-t)))
+
+
 class TestExtractD:
     def test_origin_and_monotonicity(self, small_grid, linear):
         nodes = np.linspace(0.0, linear.b_inf, 30)

@@ -57,17 +57,27 @@ class TestAmericanPut:
         kappa = 1.0 - 2.0 - 0.5
         r_prime = 1.0 + kappa * kappa / 2.0
         assert p.r == pytest.approx(r_prime)
-        assert p.shift == pytest.approx(z0)
-        assert p.flip
+        # the payoff kink at z = 0 is the atom, at y = log(theta)
+        assert p.atoms == ((z0, -0.5),)
         # perpetual boundary, independent closed form
         s = math.sqrt(2.0 * r_prime)
         z_inf = math.log((kappa + s) / (kappa + 1.0 + s))
         assert p.b_inf == pytest.approx(z0 - z_inf, abs=1e-8)
 
     def test_original_coordinate_flip(self):
-        p = american_put(rho=1.0, theta=0.5)
-        assert p.original_coordinate(0.0) == pytest.approx(math.log(0.5))
-        assert p.original_coordinate(p.b_inf) < math.log(0.5)
+        # y = log(theta) - z: the normalized payoff is the drift-removed
+        # payoff rho * exp(kappa*z) * (1 - exp(z))^+ read at that z.
+        rho, theta = 0.6, 0.45
+        p = american_put(rho=rho, theta=theta)
+        kappa = rho - rho / theta - 0.5
+        for y in (-1.0, 0.0, 0.2, math.log(theta), 1.5):
+            z = math.log(theta) - y
+            assert p.h(y) == pytest.approx(
+                rho * math.exp(kappa * z) * max(1.0 - math.exp(z), 0.0), rel=1e-12, abs=1e-15
+            )
+        # h_tilde vanishes past the kink and changes sign at the origin
+        assert p.h_tilde(math.log(theta)) == 0.0
+        assert p.h_tilde(-0.1) < 0.0 < p.h_tilde(0.1)
 
     def test_laplace_matches_quadrature_with_atom(self):
         p = american_put(rho=1.0, theta=0.5)
@@ -270,6 +280,13 @@ class TestProblemFile:
             assert p.h_tilde(y) == (
                 -2 * y**2 + pow(y, 3) / 4 - math.log(1 + y) + max(y, 0.5) - +y
             )
+
+    @pytest.mark.parametrize("line", ["bta = 2", "shift = 0.3"])
+    def test_unknown_key_rejected(self, tmp_path, line):
+        path = self._write(tmp_path, f"r = 1\nb_inf = 1\n{line}\nhtilde_expr = y\n")
+        key = line.split()[0]
+        with pytest.raises(ProblemFileError, match=f"prob.txt:3: unknown key '{key}'"):
+            load_problem_file(path)
 
     def test_missing_file(self):
         with pytest.raises(ProblemFileError):

@@ -415,7 +415,6 @@ class TestAsymptoticCheck:
             polishes=1,
             converged=converged,
             max_residual=math.nan,
-            convergence_reason="residual_bound" if converged else "polish_missed",
             polish_status=None,
             polish_nfev=None,
             prior_B=math.nan,
