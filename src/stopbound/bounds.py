@@ -10,9 +10,12 @@ bisection well posed:
 * lower step at node ``x``: the test boundary is ``t`` on ``[x, b_inf]``
   capped by the current upper bound; the smallest ``t`` keeping every
   residual ``>= 0`` is a valid lower bound at ``x``;
-* upper step at node ``x``: the test boundary is ``t`` on ``[0, x]`` floored
-  by the current lower bound; the largest ``t`` keeping every residual
-  ``<= 0`` is a valid upper bound at ``x``.
+* upper step at node ``x``: the test boundary is ``t`` on the segments
+  left of ``x``, floored on each segment by the current lower bound at its
+  right end (a non-increasing boundary above ``t`` at ``x`` is above ``t``
+  left of ``x``, and on a segment at least its right-end value); the
+  largest ``t`` keeping every residual ``<= 0`` is a valid upper bound at
+  ``x``.
 
 The identity quantifies over all admissible parameters; the implementation
 checks a finite grid extended geometrically up to four times its largest
@@ -196,16 +199,17 @@ def upper_step(p: Problem, lower: BoundaryGrid, tab: Tabulation) -> BoundaryGrid
     tab.require_nodes(lower.nodes)
     t_max = _default_t_max(p)
     n = lower.nodes.shape[0]
-    v = lower.values[:-1]
+    # Supposing d(y_k) > t, a non-increasing d exceeds t on segments 0..k-1
+    # and is at least lower[n+1] on segment n: that floor is v_n.
+    v = lower.values[1:]
     P, Wc = _prefix_sums(tab, v)
     neg_v = -v
 
     def holds(k: np.ndarray, t: np.ndarray) -> np.ndarray:
-        # Test boundary max(t, v_n) on segments ..k: v is non-increasing, so
-        # it keeps v_n up to j = #{v_n >= t} and sits at t on j..k.
-        end = np.minimum(k + 1, n - 1)
-        j = np.minimum(np.searchsorted(neg_v, -t, side="right"), end)
-        return _block_residuals(tab, P, Wc, j, end, t).max(axis=0) <= 0.0
+        # Test boundary max(t, v_n) on segments ..k-1: v is non-increasing, so
+        # it keeps v_n up to j = #{v_n >= t} and sits at t on j..k-1.
+        j = np.minimum(np.searchsorted(neg_v, -t, side="right"), k)
+        return _block_residuals(tab, P, Wc, j, k, t).max(axis=0) <= 0.0
 
     out = np.zeros(n)
     k = np.arange(1, n)

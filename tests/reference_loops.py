@@ -71,10 +71,10 @@ def reference_upper_step(tab, lower, tol, t_max):
     n = v.shape[0]
     out = np.zeros(n)
     for k in range(1, n):
-        head = np.arange(n - 1) <= k
+        head = np.arange(n - 1) < k
 
         def holds(t):
-            d = np.where(head, np.maximum(t, v[:-1]), v[:-1])
+            d = np.where(head, np.maximum(t, v[1:]), v[1:])
             return bool(np.max(residuals(tab, d)) <= 0.0)
 
         if holds(0.0):

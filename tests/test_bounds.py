@@ -81,8 +81,9 @@ class TestInitialEnvelope:
 class TestSteps:
     def test_upper_step_interior_negative(self, linear, env0):
         up = upper_step(linear, env0.lower, env0.tabulation)
-        assert up.values[0] == 0.0
-        assert np.all(up.values[2:] < 0.0)
+        # Node k is certified from segments 0..k-1 only: nodes 1 and 2 stay 0.
+        assert np.all(up.values[:3] == 0.0)
+        assert np.all(up.values[3:] < 0.0)
         assert np.all(up.values >= env0.lower.values)
 
     def test_lower_step_respects_cap(self, linear, env0):

@@ -119,6 +119,17 @@ class TestBounds:
         for r in rows:
             assert float(r[1]) <= float(r[2]) + 1e-12
 
+    def test_large_kernel_parameters_keep_an_open_envelope(self, tmp_path, capsys):
+        # With 200 kernel parameters an upper step that floors each segment
+        # by its left node's lower bound finds every probe infeasible and
+        # collapses the envelope onto its lower bound: width 0.
+        rc = cli.main(
+            ["bounds", "--problem", "linear", "--nodes", "60", "--cvals", "200",
+             "--out-dir", str(tmp_path)]
+        )
+        assert rc == cli.EXIT_OK
+        assert "final envelope max width 48.999 after 3 iterations" in capsys.readouterr().out
+
 
 class TestSolve:
     def test_small_run_artifacts(self, tmp_path, capsys):

@@ -108,19 +108,19 @@ class TestFullSolve:
         assert np.max(np.abs(a.grid.values - b.grid.values)) <= 1e-6
 
 
-# The boundary that 500 descent sweeps plus the polish reach for `linear` at
-# 30 nodes x 15 kernel parameters (3 envelope iterations, asymptotic seed),
-# recorded from a solver that always ran the whole sweep budget.
-LINEAR_30x15_500_SWEEPS = np.array(
+# The boundary the polish of the asymptotic seed reaches for `linear` at 30
+# nodes x 15 kernel parameters, inside the certified envelope of 3
+# iterations; the midpoint seed's polish reaches it to 3.4e-9.
+LINEAR_30x15_POLISHED = np.array(
     [
-        0.000000000000, -0.001666361778, -0.005882176192, -0.013119001767,
-        -0.023324761852, -0.036413209980, -0.052222021427, -0.070814367380,
-        -0.094756889101, -0.132749777004, -0.178963780101, -0.228609009281,
-        -0.278268925881, -0.326131649790, -0.372093416082, -0.417747232211,
-        -0.466274283139, -0.522235732322, -0.591230854178, -0.679358075622,
-        -0.792413430598, -0.934828780839, -1.108525701354, -1.312087951209,
-        -1.540735617814, -1.787321513906, -2.044078973731, -2.304522987154,
-        -4.265469827200, -50.000000000000,
+        0.000000000000, -0.001666358145, -0.005882169421, -0.013118991661,
+        -0.023324748238, -0.036413194907, -0.052222013487, -0.070814368153,
+        -0.094756777881, -0.132749081908, -0.178962551434, -0.228607588490,
+        -0.278267747476, -0.326131091708, -0.372093701574, -0.417748378227,
+        -0.466276088357, -0.522237800903, -0.591232656737, -0.679359053081,
+        -0.792413143287, -0.934827087428, -1.108522916730, -1.312084898773,
+        -1.540733502343, -1.787321620250, -2.044082304621, -2.304530019052,
+        -4.265460327733, -50.000000000000,
     ]
 )
 
@@ -165,7 +165,7 @@ class TestSweepPolishSchedule:
         assert rep.max_residual == pytest.approx(
             np.max(np.abs(rep.residual_vector.residuals)) / scale, rel=1e-9
         )
-        assert np.max(np.abs(rep.grid.values - LINEAR_30x15_500_SWEEPS)) <= 1e-7
+        assert np.max(np.abs(rep.grid.values - LINEAR_30x15_POLISHED)) <= 1e-7
 
     def test_polish_that_misses_the_bound_is_not_convergence(self, linear30, monkeypatch):
         p, cgrid, env = linear30
@@ -218,7 +218,7 @@ class TestSeedPolish:
         assert trace[0] == _seed_objective(p, cgrid, env, "envelope_midpoint")
         assert all(a >= b for a, b in zip(trace, trace[1:]))
         assert trace[-1] == rep.objective
-        assert np.max(np.abs(rep.grid.values - LINEAR_30x15_500_SWEEPS)) <= 1e-7
+        assert np.max(np.abs(rep.grid.values - LINEAR_30x15_POLISHED)) <= 1e-7
 
     def test_seed_past_the_pole_reads_inf(self):
         # The midpoint seed of the put (1, 0.5) at 60 x 40, two envelope
