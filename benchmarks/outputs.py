@@ -155,7 +155,8 @@ def main() -> None:
         ap.error("give --src exactly twice")
     srcs = [str(Path(s).resolve()) for s in args.src]
     moves, n_files, n_identical = {}, 0, 0
-    for name, argv in cases().items():
+    case_list = cases()
+    for name, argv in case_list.items():
         run_a, run_b = (run_case(src, argv) for src in srcs)
         moved = compare(run_a, run_b)
         names = run_a[2].keys() | run_b[2].keys()
@@ -165,7 +166,7 @@ def main() -> None:
             moves[name] = moved
     print(json.dumps({
         "src": srcs,
-        "cases": len(cases()),
+        "cases": len(case_list),
         "files": n_files,
         "identical_files": n_identical,
         "moved_cases": len(moves),
