@@ -106,7 +106,7 @@ def rewrites(n_nodes=60, n_c=40):
 def _lattice_inputs(p, t_min, t_steps, x_steps):
     ts = np.linspace(t_min, 0.0, t_steps + 1)
     xs = np.linspace(*oracle.default_x_bounds(p, t_min), x_steps)
-    hx = np.array([p.h(x) for x in xs])
+    hx = p.h(xs)
     gh_x, gh_w = oracle._gauss_hermite()
     return np.exp(-p.r * ts), hx, xs, ts[1] - ts[0], gh_x, gh_w
 

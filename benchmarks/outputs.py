@@ -4,7 +4,8 @@ Run from the repository root:
 
     python3 benchmarks/outputs.py --src A --src B
 
-Each case of a fixed list runs once per tree, in a new Python process that
+Each case of a fixed list, over the builtin problems and two problem files
+the script writes, runs once per tree, in a new Python process that
 imports ``stopbound.cli`` from ``--src`` and writes into a temporary
 directory of its own.  For every case the script compares the exit codes,
 stdout and each file written.  A file is identical or it is not; a CSV
@@ -36,6 +37,13 @@ PROBLEMS = {
 }
 # (nodes, kernel parameters) of the solve and bounds cases.
 GRIDS = ((12, 8), (30, 15), (60, 40))
+# Problem files, written into a temporary directory shared by both trees:
+# the linear problem as an expression, and a kinked one whose kink segment
+# takes the adaptive quadrature.
+PROBLEM_FILES = {
+    "file y": "r = 1\nb_inf = 0.7071067811865476\nhtilde_expr = y\n",
+    "file kinked": "r = 1\nb_inf = 0.7071067811865476\nhtilde_expr = max(y, 2*y - 0.3)\n",
+}
 
 
 def _verify_lattice(name: str) -> list:
@@ -45,8 +53,18 @@ def _verify_lattice(name: str) -> list:
     return ["--t-min", "-4", "--t-steps", "2000", "--x-steps", "3000"]
 
 
-def cases() -> dict:
-    """Case name -> CLI arguments."""
+def write_problem_files(directory: str) -> dict:
+    """Write :data:`PROBLEM_FILES` into ``directory``; name -> CLI arguments."""
+    problems = {}
+    for i, (name, text) in enumerate(PROBLEM_FILES.items()):
+        path = Path(directory) / f"problem{i}.txt"
+        path.write_text(text, encoding="utf-8")
+        problems[name] = ["--problem-file", str(path)]
+    return problems
+
+
+def cases(problem_files: dict) -> dict:
+    """Case name -> CLI arguments; ``problem_files`` from :func:`write_problem_files`."""
     out = {}
     for name, problem in PROBLEMS.items():
         for n, m in GRIDS:
@@ -56,6 +74,12 @@ def cases() -> dict:
             out[f"bounds {name} {n}x{m}"] = ["bounds", *problem, *size]
     for name in ("linear", "put(1,0.5)"):
         out[f"residuals {name}"] = ["residuals", *PROBLEMS[name]]
+    for name, problem in problem_files.items():
+        for n, m in GRIDS:
+            size = ["--nodes", str(n), "--cvals", str(m)]
+            out[f"solve {name} {n}x{m}"] = ["solve", *problem, *size]
+            out[f"bounds {name} {n}x{m}"] = ["bounds", *problem, *size]
+        out[f"residuals {name}"] = ["residuals", *problem]
     for beta in ("0", "1", "2"):
         out[f"constants beta={beta}"] = ["constants", "--beta", beta]
     for name, problem in PROBLEMS.items():
@@ -155,15 +179,16 @@ def main() -> None:
         ap.error("give --src exactly twice")
     srcs = [str(Path(s).resolve()) for s in args.src]
     moves, n_files, n_identical = {}, 0, 0
-    case_list = cases()
-    for name, argv in case_list.items():
-        run_a, run_b = (run_case(src, argv) for src in srcs)
-        moved = compare(run_a, run_b)
-        names = run_a[2].keys() | run_b[2].keys()
-        n_files += len(names)
-        n_identical += len(names - moved.get("files", {}).keys())
-        if moved:
-            moves[name] = moved
+    with tempfile.TemporaryDirectory() as problem_dir:
+        case_list = cases(write_problem_files(problem_dir))
+        for name, argv in case_list.items():
+            run_a, run_b = (run_case(src, argv) for src in srcs)
+            moved = compare(run_a, run_b)
+            names = run_a[2].keys() | run_b[2].keys()
+            n_files += len(names)
+            n_identical += len(names - moved.get("files", {}).keys())
+            if moved:
+                moves[name] = moved
     print(json.dumps({
         "src": srcs,
         "cases": len(case_list),

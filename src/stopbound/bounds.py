@@ -161,7 +161,8 @@ def lower_step(
 
     Returns the new lower grid and a boolean truncation-flag array marking
     nodes where the bisection range ``[-t_max, 0]`` was exhausted, with
-    ``t_max = 50 / r`` (50 when ``r = 0``).
+    ``t_max = 50 / r`` (50 when ``r = 0``).  An ``upper`` that fails its own
+    certificate raises ``ValueError``.
     """
     tab.require_nodes(upper.nodes)
     t_max = _default_t_max(p)
@@ -179,12 +180,9 @@ def lower_step(
     out = np.zeros(n)
     truncated = np.zeros(n, dtype=bool)
     k = np.arange(1, n)
-    fails = ~holds(k, np.zeros(k.shape))
-    # The current upper bound itself fails the certificate at these nodes
-    # (can only happen through accumulated tolerance); fall back to it
-    # rather than certify something tighter.
-    out[k[fails]] = upper.values[k[fails]]
-    k = k[~fails]
+    # At t = 0 every node's test boundary is ``upper`` itself.
+    if not np.all(holds(k, np.zeros(k.shape))):
+        raise ValueError("lower_step: the upper bound fails its own certificate")
     deep = holds(k, np.full(k.shape, -t_max))
     out[k[deep]] = -t_max
     truncated[k[deep]] = True
@@ -195,7 +193,10 @@ def lower_step(
 
 
 def upper_step(p: Problem, lower: BoundaryGrid, tab: Tabulation) -> BoundaryGrid:
-    """Per-node upper bounds certified against ``lower`` on ``tab``'s weights."""
+    """Per-node upper bounds certified against ``lower`` on ``tab``'s weights.
+
+    A ``lower`` that fails its own certificate raises ``ValueError``.
+    """
     tab.require_nodes(lower.nodes)
     t_max = _default_t_max(p)
     n = lower.nodes.shape[0]
@@ -214,9 +215,9 @@ def upper_step(p: Problem, lower: BoundaryGrid, tab: Tabulation) -> BoundaryGrid
     out = np.zeros(n)
     k = np.arange(1, n)
     k = k[~holds(k, np.zeros(k.shape))]
-    infeasible = ~holds(k, np.full(k.shape, -t_max))
-    out[k[infeasible]] = lower.values[k[infeasible]]
-    k = k[~infeasible]
+    # At t = -t_max every node's test boundary is ``lower`` itself.
+    if not np.all(holds(k, np.full(k.shape, -t_max))):
+        raise ValueError("upper_step: the lower bound fails its own certificate")
     out[k] = _lockstep_bisect(lambda k, t: ~holds(k, t), k, t_max)[0]
     return lower.with_values(np.minimum.accumulate(np.maximum(out, lower.values)))
 

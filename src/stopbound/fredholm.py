@@ -193,13 +193,13 @@ class Tabulation:
 def _gauss_legendre(p: Problem, nodes: np.ndarray, cs: np.ndarray, q: int) -> np.ndarray:
     """``(M, N-1)`` weights by the ``q``-point Gauss--Legendre rule per segment.
 
-    ``h_tilde`` is evaluated once per rule point, ``(N-1)*q`` calls whatever
-    the number of parameters; the ``c``-dependence is one exponential.
+    ``h_tilde`` is one call on the ``(N-1, q)`` rule points whatever the
+    number of parameters; the ``c``-dependence is one exponential.
     """
     x, w = np.polynomial.legendre.leggauss(q)
     half = 0.5 * np.diff(nodes)
     y = (0.5 * (nodes[:-1] + nodes[1:]))[:, None] + half[:, None] * x
-    h = np.array([p.h_tilde(v) for v in y.ravel().tolist()]).reshape(y.shape)
+    h = p.h_tilde(y)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite fails the guard
         return np.einsum("lnq,nq->ln", np.exp(cs[:, None, None] * y), h * half[:, None] * w)
 
@@ -317,13 +317,12 @@ def verify_closed_form(label: str, cvalues: Sequence[float], alpha: float | None
         def inner(s: float) -> float:
             u = alpha * math.sqrt(-s)
             return integrate_semi_infinite(
-                lambda x: -x * math.exp(c * x), u, -1, max(c / 2.0, 0.25)
+                lambda x: -x * math.exp(c * x), u, max(c / 2.0, 0.25)
             )
 
         val = integrate_semi_infinite(
             lambda s: math.exp(c * c * s / 2.0) * inner(s),
             0.0,
-            -1,
             c * c / 4.0,
             outer_spec,
         )

@@ -205,31 +205,25 @@ def integrate_finite(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADR
 def integrate_semi_infinite(
     f,
     a: float,
-    direction: int,
     decay_rate: float,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
-    """Integrate ``f`` from ``a`` towards ``+inf`` (direction=+1) or ``-inf``.
+    """Integrate ``f`` from ``-inf`` to ``a``.
 
-    The caller declares an exponential decay rate valid in the integration
-    direction; the truncation point doubles until the implied tail bound
-    ``|f(T)| / decay_rate`` falls below the absolute tolerance, after which
-    the finite integral is evaluated adaptively.
+    The caller declares an exponential decay rate valid toward ``-inf``;
+    the truncation point ``a - span`` doubles its span until the implied
+    tail bound ``|f(a - span)| / decay_rate`` falls below the absolute
+    tolerance, after which the finite integral is evaluated adaptively.
     """
     if decay_rate <= 0.0:
         raise InvalidDecayError(f"declared decay rate must be positive, got {decay_rate}")
-    if direction not in (+1, -1):
-        raise ValueError("direction must be +1 or -1")
     span = 1.0
     for _ in range(200):
-        t = a + direction * span
-        if abs(f(t)) / decay_rate <= spec.absolute_tolerance:
+        if abs(f(a - span)) / decay_rate <= spec.absolute_tolerance:
             break
         span *= 2.0
     else:  # pragma: no cover - pathological integrand
         raise ToleranceNotMetError(math.nan, math.inf, "tail bound never satisfied")
-    if direction > 0:
-        return integrate_finite(f, a, a + span, spec)
     return integrate_finite(f, a - span, a, spec)
 
 

@@ -174,7 +174,7 @@ def backward_induction(
     xs = np.linspace(x_bounds[0], x_bounds[1], x_steps)
     dt = ts[1] - ts[0]
     disc = np.exp(-p.r * ts)
-    hx = np.array([p.h(x) for x in xs])
+    hx = np.broadcast_to(p.h(xs), xs.shape)
     gh_x, gh_w = _gauss_hermite()
     v_first, v_terminal, b = _kernels.dp_backward(disc, hx, xs, dt, gh_x, gh_w)
     return DPGrid(t_values=ts, x_values=xs, value=np.stack([v_first, v_terminal]),
@@ -402,8 +402,7 @@ def mc_value(
         raise second[0]
     stop_step, stop_x = (np.concatenate(a, axis=1) for a in zip(first, second[0]))
     t_stop = t0 + stop_step * dt
-    h_stop = np.array([p.h(x) for x in stop_x.ravel()]).reshape(2, pairs)
-    payoff = np.exp(-p.r * t_stop) * h_stop
+    payoff = np.exp(-p.r * t_stop) * p.h(stop_x)
     est = float(payoff.mean())
     se = float(payoff.mean(axis=0).std(ddof=1) / math.sqrt(pairs))
     return est, se

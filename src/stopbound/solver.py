@@ -452,7 +452,6 @@ def solve(
         start[-1] = lower[-1]  # held: the residual loses all sensitivity to it
         polished, result = _polish(start, lapn, Wn, gam, c2, prior, nodes, p.b_inf, t_max)
         polished = np.minimum.accumulate(np.clip(polished, lower, upper))
-        polished[-1] = lower[-1]
         return _Polished(start, polished, result, _max_residual(lapn, Wn, gam, polished))
 
     # One error state for every residual evaluation of the polishes: their

@@ -191,33 +191,23 @@ class TestLockstepMatchesScalarBisection:
         assert np.array_equal(trunc, ref_trunc)
         assert np.array_equal(low.values, ref_low)
         assert np.all(low.values[trunc] == -t_max)
+        # Truncated at -1, the lower bound is not one: it fails its own
+        # certificate against the upper step.
+        with pytest.raises(ValueError, match="upper_step"):
+            upper_step(linear, low, tab)
 
-        up = upper_step(linear, low, tab)
-        assert np.array_equal(
-            up.values, reference_upper_step(tab, low, BISECTION_TOL, t_max)
-        )
-
-    def test_failing_upper_bound_falls_back(self, linear, env0):
+    def test_failing_upper_bound_raises(self, linear, env0):
         # An "upper" bound below the lower one is not certified: the residual
-        # at the bound itself is negative, so every node keeps its value.
+        # at the bound itself is negative.
         deep = env0.upper.with_values(2.0 * env0.lower.values)
         assert np.min(residuals(env0.tabulation, deep.values[:-1])) < 0.0
-        low, trunc = lower_step(linear, deep, env0.tabulation)
-        ref_low, ref_trunc = reference_lower_step(
-            env0.tabulation, deep, BISECTION_TOL, 50.0 / linear.r
-        )
-        assert np.array_equal(low.values, deep.values)
-        assert np.array_equal(low.values, ref_low)
-        assert not trunc.any() and not ref_trunc.any()
+        with pytest.raises(ValueError, match="lower_step"):
+            lower_step(linear, deep, env0.tabulation)
 
-    def test_infeasible_lower_bound_falls_back(self, linear, env0):
+    def test_infeasible_lower_bound_raises(self, linear, env0):
         # A "lower" bound above the upper one makes every level infeasible at
-        # every node: each keeps the lower value, as the scalar loop does.
+        # every node.
         up = upper_step(linear, env0.lower, env0.tabulation)
         shallow = env0.lower.with_values(0.5 * up.values)
-        got = upper_step(linear, shallow, env0.tabulation)
-        ref = reference_upper_step(
-            env0.tabulation, shallow, BISECTION_TOL, 50.0 / linear.r
-        )
-        assert np.array_equal(got.values, ref)
-        assert np.array_equal(got.values, shallow.values)
+        with pytest.raises(ValueError, match="upper_step"):
+            upper_step(linear, shallow, env0.tabulation)

@@ -43,6 +43,19 @@ class TestUsage:
         assert err.startswith("error:")
         assert "exp() cannot take 0 argument(s)" in err
 
+    def test_problem_file_undefined_expression(self, tmp_path, capsys):
+        # log(y - 2) is NaN on the whole stopping region: one error line
+        # naming the expression, not a quadrature failure's traceback.
+        path = tmp_path / "prob.txt"
+        path.write_text("r = 1\nb_inf = 0.7\nhtilde_expr = log(y - 2)\n", encoding="utf-8")
+        rc = cli.main(
+            ["solve", "--problem-file", str(path), "--nodes", "8", "--cvals", "4",
+             "--out-dir", str(tmp_path)]
+        )
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: htilde_expr 'log(y - 2)'")
+
     def test_missing_problem(self, tmp_path, capsys):
         rc = cli.main(["solve", "--out-dir", str(tmp_path)])
         assert rc == cli.EXIT_USAGE

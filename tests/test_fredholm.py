@@ -197,19 +197,20 @@ class TestTabulatedOnce:
     N_NODES, N_C = 24, 16
 
     def test_envelope_then_solve_counts(self, linear):
-        # Each segment evaluates h_tilde at the 6 points of its rule and the
-        # 12 of the guard rule, once for all parameters; the solver never.
+        # One call evaluates h_tilde at the 6 points of every segment's rule
+        # and one at the 12 of the guard rule, for all parameters at once;
+        # the solver makes none.
         calls = []
 
         def counted(y):
-            calls.append(y)
+            calls.append(np.size(y))
             return linear.h_tilde(y)
 
         p = replace(linear, h_tilde=counted)
         nodes = BoundaryGrid.uniform(p, self.N_NODES).nodes
         cgrid = CGrid.for_problem(p, self.N_C)
         env = bounds_mod.iterate(p, nodes, cgrid, 3)
-        assert len(calls) == (self.N_NODES - 1) * (6 + 12)
+        assert calls == [(self.N_NODES - 1) * 6, (self.N_NODES - 1) * 12]
         del calls[:]
         solver.solve(p, cgrid, env)
         assert calls == []

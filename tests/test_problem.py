@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from stopbound import cli, oracle
@@ -108,6 +109,15 @@ class TestSmoothFit:
         b1 = smooth_fit_b_inf(lambda y: y, 2.0, bracket=(1e-3, 5.0))
         b2 = smooth_fit_b_inf(lambda y: 7.0 * y, 2.0, bracket=(1e-3, 5.0))
         assert b1 == pytest.approx(b2, abs=1e-10)
+
+    def test_builtins_b_inf_is_their_smooth_fit(self):
+        p = builtin("linear")
+        assert abs(p.b_inf - smooth_fit_b_inf(p.h, p.r, bracket=(1e-3, 5.0))) <= 1e-8
+        for rho in (0.3, 0.7, 1.0, 1.5, 2.0):
+            for theta in (0.2, 0.35, 0.5, 0.7, 0.9):
+                p = american_put(rho, theta)
+                hi = max(20.0, -4.0 * math.log(theta))
+                assert abs(p.b_inf - smooth_fit_b_inf(p.h, p.r, bracket=(1e-6, hi))) <= 1e-8
 
 
 class TestScaled:
@@ -268,6 +278,18 @@ class TestProblemFile:
         p = load_problem_file(path)
         for y in (0.0, 0.3, 0.9):
             assert p.h_tilde(y) == math.log(2 + y, 3) + max(y, 0.2, 0.4, -1)
+
+    def test_array_is_one_call(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            "r = 1\nb_inf = 1\nhtilde_expr = log(2 + y, 3) * exp(-y) + max(y, 0.3, 2*y - 1)"
+            " - pow(y, 2) / 4\n",
+        )
+        p = load_problem_file(path)
+        ys = np.linspace(-1.0, 1.5, 41).reshape(1, 41)
+        got = p.h_tilde(ys)
+        assert got.shape == ys.shape
+        assert np.array_equal(got[0], [p.h_tilde(y) for y in ys[0].tolist()])
 
     def test_whitelisted_arithmetic(self, tmp_path):
         path = self._write(
