@@ -12,9 +12,13 @@ walks each member of every running antithetic pair one step at a time
 through the same chunks of normals, in the same two streams.  The envelope
 steps, the two-row lattice and the Monte Carlo estimates must match their
 reference exactly, the weights to 1e-12 relative, and the ``np.interp``
-lattice values to 1e-9.  The two-row comparison runs on each lattice that ``stopbound
-oracle`` runs in the benchmark and prints the share of stencil rows the
-current step multiplies.  On the same lattices, one step's product over a
+lattice values to 1e-9.  The envelope steps' reference refines each
+bisection bracket on the grid of certified levels, every bound must carry
+its certificate in the full-sum residuals and lose it one grid step
+inward, and the row prints the steps' count of residual-block
+evaluations beside their time.  The two-row comparison runs on each
+lattice that ``stopbound oracle`` runs in the benchmark and prints the
+share of stencil rows the current step multiplies.  On the same lattices, one step's product over a
 prefix of a quarter and of half the rows is timed against SciPy's CSR
 product of the same stencil (the lattice's product before it ran on NumPy
 alone), which it must match to 1e-14.  The pure-Python ``find_root`` must return SciPy's
@@ -43,7 +47,9 @@ from stopbound.problem import american_put, builtin
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from reference_loops import (  # noqa: E402
+    BISECTION_TOL,
     adaptive_weights,
+    certificate_faults,
     reference_dp_backward,
     reference_lower_step,
     reference_mc_value,
@@ -64,16 +70,33 @@ def _time(fn, *args, repeat=5, **kwargs):
     return best, out
 
 
-def steps_reference(p, env, tol=bounds.BISECTION_TOL):
+def steps_reference(p, env, tol=BISECTION_TOL):
     """Upper step against ``env.lower``, then lower step against that, node by node."""
     tab, t_max = env.tabulation, 50.0 / p.r
-    up = env.lower.with_values(reference_upper_step(tab, env.lower, tol, t_max))
-    return up.values, reference_lower_step(tab, up, tol, t_max)[0]
+    up = env.lower.with_values(reference_upper_step(tab, env.lower, tol, t_max, bounds.GRID))
+    return up.values, reference_lower_step(tab, up, tol, t_max, bounds.GRID)[0]
 
 
 def steps_current(p, env):
     up = bounds.upper_step(p, env.lower, env.tabulation)
     return up.values, bounds.lower_step(p, up, env.tabulation)[0].values
+
+
+def block_evaluations(fn, *args):
+    """``fn(*args)`` and the number of ``bounds._block_residuals`` calls it makes."""
+    calls = []
+    block = bounds._block_residuals
+
+    def counted(*a):
+        calls.append(1)
+        return block(*a)
+
+    bounds._block_residuals = counted
+    try:
+        out = fn(*args)
+    finally:
+        bounds._block_residuals = block
+    return out, len(calls)
 
 
 def rewrites(n_nodes=60, n_c=40):
@@ -82,25 +105,35 @@ def rewrites(n_nodes=60, n_c=40):
     grid = fredholm.BoundaryGrid.uniform(p, n_nodes)
     cgrid = fredholm.CGrid.for_problem(p, n_c)
     env = bounds.initial_envelope(p, grid.nodes, cgrid)
-    cs = env.tabulation.c_values
+    tab, cs = env.tabulation, env.tabulation.c_values
     rows = []
 
     t_ref, ref = _time(steps_reference, p, env, repeat=1)
     t_new, new = _time(steps_current, p, env)
     if not all(np.array_equal(a, b) for a, b in zip(ref, new)):
-        raise AssertionError("envelope steps: lockstep and per-node bounds differ")
-    rows.append(("envelope steps", t_ref, t_new))
+        raise AssertionError("envelope steps: lockstep and per-node grid levels differ")
+    t_max, up = 50.0 / p.r, env.lower.with_values(new[0])
+    faults = (certificate_faults(tab, env.lower, new[0], bounds.GRID, t_max, lower=False)
+              + certificate_faults(tab, up, new[1], bounds.GRID, t_max, lower=True))
+    if faults:
+        raise AssertionError(f"envelope steps: nodes {faults} lack the full-sum certificate"
+                             " or keep it one grid step inward")
+    evals = block_evaluations(steps_current, p, env)[1]
+    rows.append(("envelope steps", t_ref, t_new, evals))
 
     t_ref, ref = _time(adaptive_weights, p, grid.nodes, cs, repeat=1)
     t_new, new = _time(fredholm.segment_weights, p, grid, cs)
     if not np.max(np.abs(new - ref) / np.abs(ref)) <= 1e-12:
         raise AssertionError("segment weights: rule and adaptive quadrature differ")
-    rows.append(("segment weights", t_ref, t_new))
+    rows.append(("segment weights", t_ref, t_new, ""))
 
-    print(f"american_put (1, 0.5), {n_nodes} nodes x {len(cs)} parameters")
-    print(f"{'rewrite':<22}{'reference (s)':>15}{'current (s)':>13}{'speedup':>10}")
-    for name, t_ref, t_new in rows:
-        print(f"{name:<22}{t_ref:>15.6f}{t_new:>13.6f}{t_ref / t_new:>10.1f}")
+    print(f"american_put (1, 0.5), {n_nodes} nodes x {len(cs)} parameters; envelope steps:"
+          " an upper step, then a lower step, matching the per-node bisection refined on"
+          " the grid and certified in full sums")
+    print(f"{'rewrite':<22}{'reference (s)':>15}{'current (s)':>13}{'speedup':>10}"
+          f"{'residual blocks':>17}")
+    for name, t_ref, t_new, evals in rows:
+        print(f"{name:<22}{t_ref:>15.6f}{t_new:>13.6f}{t_ref / t_new:>10.1f}{evals:>17}")
 
 
 def _lattice_inputs(p, t_min, t_steps, x_steps):
@@ -169,7 +202,8 @@ def stencil_product(number=200, repeat=5):
         C.eliminate_zeros()
         v, out = np.sin(3.0 * xs), np.empty(x_steps)
         for m in (x_steps // 4, x_steps // 2):
-            C_m, product = C[:m], A.prefix(v, m, out)
+            A.values[...] = v
+            C_m, product = C[:m], A.prefix(m, out)
             # alternate the two, so a slow stretch of a shared machine hits both
             t_csr, t_new = (min(pair) / number for pair in zip(*(
                 (timeit.timeit(lambda: C_m @ v, number=number), timeit.timeit(product, number=number))

@@ -167,15 +167,18 @@ class Stencil:
     their reflected points through the same taps.  One preallocated
     ``(len(taps), n + 2 * reach)`` buffer holds ``u`` in row 0 and the pair
     sums in the rows below, and one ``np.einsum`` (not a BLAS call) reduces
-    them.  An ``einsum`` element is the same sum in the same order whatever
-    the number of rows, so the rows of a prefix product carry the full
-    product's bits.  Products share the buffer: run one at a time.
+    them.  ``v`` itself is :attr:`values`, the middle of row 0, so a caller
+    that keeps its value row there is never copied in.  An ``einsum``
+    element is the same sum in the same order whatever the number of rows,
+    so the rows of a prefix product carry the full product's bits.
+    Products share the buffer, :attr:`values` included: run one at a time.
     """
 
     def __init__(self, n, taps, offsets):
         self.n, self.taps, self.offsets = n, taps, offsets
         self.reach = pad = int(offsets.max()) if offsets.size else 0
         self._buf = np.empty((taps.shape[0], n + 2 * pad))
+        self.values = self._buf[0, pad:pad + n]
 
         def source(g):
             # reflect at node 0, then at node n - 1, then hold at the edge
@@ -185,16 +188,16 @@ class Stencil:
         self._below = source(np.arange(-pad, 0))
         self._above = source(np.arange(n, n + pad))
 
-    def prefix(self, v, m, out):
-        """Rows ``[0, m)`` of the product with ``v``, as a call without arguments.
+    def prefix(self, m, out):
+        """Rows ``[0, m)`` of the product with :attr:`values`, as a call without arguments.
 
-        Each call reads the current values of ``v`` below row ``m + reach``
+        Each call reads the current :attr:`values` below row ``m + reach``
         and writes the rows to ``out[:m]``, no row of ``out`` from ``m``
         up.  The views each call works on are formed here, once.
         """
         n, pad, buf = self.n, self.reach, self._buf
-        u, read = buf[0], min(n, m + pad)
-        u_read, v_read, below = u[pad:pad + read], v[:read], u[:pad]
+        u = buf[0]
+        below = u[:pad]
         # the top ghosts are read only by the rows within reach of the top
         above = u[pad + n:] if m + pad > n else None
         pairs = [(u[pad - o:pad + m - o], u[pad + o:pad + m + o], buf[k, pad:pad + m])
@@ -202,7 +205,6 @@ class Stencil:
         rows, taps, out_m = buf[:, pad:pad + m], self.taps, out[:m]
 
         def product():
-            np.copyto(u_read, v_read)
             below[...] = u[self._below]
             if above is not None:
                 above[...] = u[self._above]
@@ -213,8 +215,10 @@ class Stencil:
         return product
 
     def __matmul__(self, v):
+        """The full product with ``v``, which overwrites :attr:`values`."""
+        self.values[...] = v
         out = np.empty(self.n)
-        self.prefix(v, self.n, out)()
+        self.prefix(self.n, out)()
         return out
 
 
@@ -321,7 +325,8 @@ def dp_backward(disc, hx, xs, dt, gh_x, gh_w):
     comparison, the maximum in place, and the boundary read) plus the
     payoff on the ``reach`` rows above it that the next product reads;
     ``v_first`` above those rows is filled with ``disc[0] * hx`` at the
-    end.
+    end.  The value row is the stencil's :attr:`Stencil.values`, so no
+    product copies it in.
 
     Returns ``(v_first, v_terminal, boundary)``: the value slices at the
     first and the terminal time, and the per-slice boundary (not yet made
@@ -336,7 +341,8 @@ def dp_backward(disc, hx, xs, dt, gh_x, gh_w):
     boundary = np.empty(n_t)
     v_terminal = disc[-1] * hx
     boundary[-1] = xs[0]  # the value equals the payoff at the terminal time
-    v = v_terminal.copy()
+    v = A.values
+    v[...] = v_terminal
     c_full = np.empty(n_x)
     cont = np.zeros(n_x, dtype=bool)
     # The first m rows are multiplied (-1 before the first step) and the
@@ -353,17 +359,17 @@ def dp_backward(disc, hx, xs, dt, gh_x, gh_w):
             np.multiply(disc[k + 1], hx[w_old:w], out=v[w_old:w])
             hx_w, v_w, v_m, c, cont_m = hx[:w], v[:w], v[:m], c_full[:m], cont[:m]
             edge = cont[max(0, m - reach):m] if m < n_x else cont[:0]
-            product = A.prefix(v, m, c_full)
+            product = A.prefix(m, c_full)
         product()
         np.multiply(disc[k], hx_w, out=v_w)
         np.greater(c, v_m, out=cont_m)
         boundary[k] = boundary_slice(c, v, xs, cont)
         np.maximum(v_m, c, out=v_m)
-        if edge.any():
+        if np.count_nonzero(edge):
             # rows up to the highest continuation node plus one reach
             need = m + reach - int(edge[::-1].argmax())
     np.multiply(disc[0], hx[w:], out=v[w:])
-    return v, v_terminal, boundary
+    return v.copy(), v_terminal, boundary
 
 
 def mc_first_crossing(x, dt, walks, b):

@@ -2,20 +2,19 @@
 
 Starting from the trivial upper bound ``d == 0``, each refinement step
 plants a single-level test boundary at one node, combines it with the
-current bound on the opposite side, and bisects the level until the
+current bound on the opposite side, and finds the level at which the
 residual of the integral identity changes sign somewhere on the parameter
-grid.  Residuals are increasing in every boundary value, which makes each
-bisection well posed:
+grid.  Residuals are increasing in every boundary value, which makes that
+switch level well defined:
 
 * lower step at node ``x``: the test boundary is ``t`` on ``[x, b_inf]``
-  capped by the current upper bound; the smallest ``t`` keeping every
-  residual ``>= 0`` is a valid lower bound at ``x``;
+  capped by the current upper bound; every ``t`` at which some residual is
+  ``< 0`` is a valid lower bound at ``x``;
 * upper step at node ``x``: the test boundary is ``t`` on the segments
   left of ``x``, floored on each segment by the current lower bound at its
   right end (a non-increasing boundary above ``t`` at ``x`` is above ``t``
-  left of ``x``, and on a segment at least its right-end value); the
-  largest ``t`` keeping every residual ``<= 0`` is a valid upper bound at
-  ``x``.
+  left of ``x``, and on a segment at least its right-end value); every
+  ``t`` at which some residual is ``> 0`` is a valid upper bound at ``x``.
 
 The identity quantifies over all admissible parameters; the implementation
 checks a finite grid extended geometrically up to four times its largest
@@ -25,9 +24,16 @@ assumes they do.
 
 The current bound is non-increasing, so a test boundary differs from it on
 one run of segments, found by ``searchsorted``.  A step builds the running
-sums over segments of ``exp(gam*bound)*W`` and of ``W`` once; every probe is
-then a few columns of those sums, and all nodes bisect together, one
-``(M, N)`` array operation per bisection step.
+sums over segments of ``exp(gam*bound)*W`` and of ``W`` once; every
+residual is then a few columns of those sums, and all nodes step together,
+one ``(M, N)`` array operation per evaluation.  Between two consecutive
+values of the current bound the run is fixed, so each residual is
+``A + exp(gam*t)*B``, whose root has a closed form.  A step finds each
+node's piece by an index bisection over those values, takes the switch
+level in closed form there, and returns the grid point ``i * GRID`` next
+to it on the certified side, after checking by evaluation that the
+certificate holds there and not one grid step inward.  The result depends
+only on residual signs at fixed grid points.
 """
 
 from __future__ import annotations
@@ -49,13 +55,14 @@ __all__ = [
     "lower_step",
     "upper_step",
     "iterate",
-    "BISECTION_TOL",
+    "GRID",
 ]
 
 log = logging.getLogger(__name__)
 
-# A bisection stops once its bracket is this narrow.
-BISECTION_TOL = 1e-6
+# Certified levels are multiples of this step, exact in binary for
+# |t| < 2**23 (t_max = 50/r is far less for any r above 6e-6).
+GRID = 2.0 ** -30
 _EXTENSION_FACTORS = np.geomspace(1.2, 4.0, 8)
 
 
@@ -111,6 +118,18 @@ def _prefix_sums(tab: Tabulation, values: np.ndarray) -> tuple[np.ndarray, np.nd
             np.hstack([zero, np.cumsum(tab.W, axis=1)]))
 
 
+def _affine(
+    tab: Tabulation, P: np.ndarray, Wc: np.ndarray, start: np.ndarray, end: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, B)``, each ``(M, K)``: the residuals of ``K`` test boundaries are ``A + exp(gam*t)*B``.
+
+    Boundary ``i`` sits at level ``t`` on segments ``start[i]..end[i]-1``
+    and at the values whose prefix sums are ``P`` everywhere else.
+    """
+    A = tab.lap[:, None] + P[:, start] + (P[:, -1:] - P[:, end])
+    return A, Wc[:, end] - Wc[:, start]
+
+
 def _block_residuals(
     tab: Tabulation,
     P: np.ndarray,
@@ -119,39 +138,95 @@ def _block_residuals(
     end: np.ndarray,
     t: np.ndarray,
 ) -> np.ndarray:
-    """Residuals ``(M, K)`` of ``K`` test boundaries at once.
-
-    Boundary ``i`` sits at level ``t[i]`` on segments ``start[i]..end[i]-1``
-    and at the values whose prefix sums are ``P`` everywhere else.
-    """
+    """Residuals ``(M, K)`` of the test boundaries of :func:`_affine` at levels ``t``."""
+    A, B = _affine(tab, P, Wc, start, end)
     with np.errstate(under="ignore"):
-        e = np.exp(tab.gam[:, None] * t[None, :])
-    return (tab.lap[:, None] + P[:, start] + e * (Wc[:, end] - Wc[:, start])
-            + (P[:, -1:] - P[:, end]))
+        return A + np.exp(tab.gam[:, None] * t[None, :]) * B
 
 
-def _lockstep_bisect(
-    below: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    nodes: np.ndarray,
-    t_max: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bisect ``[-t_max, 0]`` at every node in ``nodes`` together.
+def _last_true(
+    probe: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    k: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> np.ndarray:
+    """Per node, an ``i`` in ``[lo, hi)`` where ``probe(k, i)`` is true and ``probe(k, i + 1)`` not.
 
-    ``below(nodes, t)`` tells, per node, whether the sought level lies at or
-    below ``t``.  A node halves its bracket while it is wider than
-    :data:`BISECTION_TOL`, exactly as often as a bisection of that node
-    alone would.  Returns the final ``(lo, hi)`` brackets.
+    ``probe`` is taken to be true at ``lo`` and false at ``hi`` unevaluated;
+    all nodes bisect the integers between together.
     """
-    lo = np.full(nodes.shape, -t_max)
-    hi = np.zeros(nodes.shape)
-    active = np.flatnonzero(hi - lo > BISECTION_TOL)
+    lo, hi = lo.copy(), hi.copy()
+    active = np.flatnonzero(hi - lo > 1)
     while active.size:
-        mid = 0.5 * (lo[active] + hi[active])
-        down = below(nodes[active], mid)
-        hi[active[down]] = mid[down]
-        lo[active[~down]] = mid[~down]
-        active = active[hi[active] - lo[active] > BISECTION_TOL]
-    return lo, hi
+        mid = (lo[active] + hi[active]) // 2
+        up = probe(k[active], mid)
+        lo[active[up]] = mid[up]
+        hi[active[~up]] = mid[~up]
+        active = active[hi[active] - lo[active] > 1]
+    return lo
+
+
+def _switch_levels(tab: Tabulation, A: np.ndarray, B: np.ndarray, sign: float) -> np.ndarray:
+    """``max_l sign * log(-A_l/B_l) / gam_l`` over the ``l`` with ``A_l < 0 < B_l``, per column.
+
+    That is the switch level in ``sign * t``: going down past it, some
+    residual ``A + exp(gam*t)*B`` changes sign; ``-inf`` where none does.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.log(-A / B) / tab.gam[:, None]
+    return np.max(np.where((A < 0.0) & (B > 0.0), sign * roots, -np.inf), axis=0)
+
+
+def _certified_levels(
+    tab: Tabulation,
+    P: np.ndarray,
+    Wc: np.ndarray,
+    cert: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    k: np.ndarray,
+    run: tuple[np.ndarray, np.ndarray],
+    ends: tuple[np.ndarray, np.ndarray],
+    sign: float,
+) -> np.ndarray:
+    """The grid level at each node ``k`` where ``cert`` holds and one grid step inward not.
+
+    On the piece between the levels ``ends`` the test boundary of node
+    ``k`` sits at its level on the segments ``run`` spans (as in
+    :func:`_affine`); ``cert`` holds at the end lower in ``sign * t`` and
+    not at the other, so ``sign * t`` grows inward.  The grid point just
+    below (in ``sign * t``) the closed-form switch level is checked
+    together with its inward neighbour in one evaluation.  Where that check
+    fails, a search on the grid, galloping from the checked pair and then
+    bisecting, finds the point between the piece's ends.
+    """
+    t_a, t_b = ends
+    tau_out, tau_in = np.minimum(sign * t_a, sign * t_b), np.maximum(sign * t_a, sign * t_b)
+    tau = np.clip(_switch_levels(tab, *_affine(tab, P, Wc, *run), sign), tau_out, tau_in)
+    # Grid indices, inward-positive; ``ceil(tau / GRID) - 1`` is the grid
+    # point strictly below ``tau``.
+    x = np.ceil(tau / GRID) - 1.0
+    lo, hi = np.ceil(tau_out / GRID) - 1.0, np.ceil(tau_in / GRID)
+
+    def probe(k, x):
+        return cert(k, sign * GRID * x)
+
+    m = k.shape[0]
+    c = probe(np.concatenate([k, k]), np.concatenate([x, x + 1.0]))
+    c0, c1 = c[:m], c[m:]
+    lo = np.where(c1, x + 1.0, np.where(c0, x, lo))
+    hi = np.where(c1, hi, np.where(c0, x + 1.0, x))
+    # Gallop inward from a certified pair, outward from an uncertified one.
+    up, gallop = c1, np.flatnonzero(c1 | ~c0)
+    step = 1.0
+    while gallop.size:
+        nxt = np.where(up[gallop], lo[gallop] + step, hi[gallop] - step)
+        inside = (lo[gallop] < nxt) & (nxt < hi[gallop])
+        gallop, nxt = gallop[inside], nxt[inside]
+        c = probe(k[gallop], nxt)
+        lo[gallop[c]] = nxt[c]
+        hi[gallop[~c]] = nxt[~c]
+        gallop = gallop[c == up[gallop]]
+        step *= 2.0
+    return sign * GRID * _last_true(probe, k, lo, hi)
 
 
 def lower_step(
@@ -159,35 +234,55 @@ def lower_step(
 ) -> tuple[BoundaryGrid, np.ndarray]:
     """Per-node lower bounds certified against ``upper`` on ``tab``'s weights.
 
+    The bound at node ``k`` is the highest level ``t`` on the grid of
+    :data:`GRID` at which some residual of the test boundary is ``< 0``,
+    so that ``d(y_k) >= t``; one grid step up every residual is ``>= 0``.
+    The switch level lies between the two, and the step returns the side
+    below it, where the certificate holds, so every bound is proved by an
+    evaluated residual.  A grid point rather than the switch level itself
+    is returned so that the bound depends only on residual signs at fixed
+    levels.
+
     Returns the new lower grid and a boolean truncation-flag array marking
-    nodes where the bisection range ``[-t_max, 0]`` was exhausted, with
-    ``t_max = 50 / r`` (50 when ``r = 0``).  An ``upper`` that fails its own
-    certificate raises ``ValueError``.
+    nodes whose certificate still fails at ``-t_max``, with ``t_max = 50 /
+    r`` (50 when ``r = 0``); their bound is ``-t_max``.  An ``upper`` that
+    fails its own certificate raises ``ValueError``.
     """
     tab.require_nodes(upper.nodes)
     t_max = _default_t_max(p)
     n = upper.nodes.shape[0]
     u = upper.values[:-1]
     P, Wc = _prefix_sums(tab, u)
-    neg_u = -u
+    neg_u, breaks = -u, np.append(u, -t_max)
+    evals = 0
 
-    def holds(k: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def cert(k: np.ndarray, t: np.ndarray) -> np.ndarray:
         # Test boundary min(t, u_n) on segments k.. : u is non-increasing, so
         # it sits at t on k..j-1 and at u_n from j = max(k, #{u_n >= t}) on.
+        nonlocal evals
+        evals += 1
         j = np.maximum(k, np.searchsorted(neg_u, -t, side="right"))
-        return _block_residuals(tab, P, Wc, k, j, t).min(axis=0) >= 0.0
+        return _block_residuals(tab, P, Wc, k, j, t).min(axis=0) < 0.0
+
+    def level(k: np.ndarray, i: np.ndarray) -> np.ndarray:
+        # Breakpoint i of node k: 0 at i = k - 1, u_i, then -t_max at i = N - 1.
+        return np.where(i < k, 0.0, breaks[i])
 
     out = np.zeros(n)
     truncated = np.zeros(n, dtype=bool)
     k = np.arange(1, n)
     # At t = 0 every node's test boundary is ``upper`` itself.
-    if not np.all(holds(k, np.zeros(k.shape))):
+    if np.any(cert(k, np.zeros(k.shape))):
         raise ValueError("lower_step: the upper bound fails its own certificate")
-    deep = holds(k, np.full(k.shape, -t_max))
+    deep = ~cert(k, np.full(k.shape, -t_max))
     out[k[deep]] = -t_max
     truncated[k[deep]] = True
     k = k[~deep]
-    out[k] = _lockstep_bisect(holds, k, t_max)[1]
+    # Between breakpoints i and i + 1 the level covers segments k..i.
+    i = _last_true(lambda k, i: ~cert(k, level(k, i)), k, k - 1, np.full(k.shape, n - 1))
+    out[k] = _certified_levels(tab, P, Wc, cert, k, (k, i + 1),
+                               (level(k, i), level(k, i + 1)), 1.0)
+    log.debug("lower step: %d residual-block evaluations", evals)
     out = _monotone_from_right(np.minimum(out, upper.values))
     return upper.with_values(out), truncated
 
@@ -195,7 +290,13 @@ def lower_step(
 def upper_step(p: Problem, lower: BoundaryGrid, tab: Tabulation) -> BoundaryGrid:
     """Per-node upper bounds certified against ``lower`` on ``tab``'s weights.
 
-    A ``lower`` that fails its own certificate raises ``ValueError``.
+    The bound at node ``k`` is the lowest level ``t`` on the grid of
+    :data:`GRID` at which some residual of the test boundary is ``> 0``,
+    so that ``d(y_k) <= t``; one grid step down every residual is ``<= 0``.
+    As in :func:`lower_step`, the step returns the certified side of the
+    switch level, a grid point, and ``0`` where no level below ``0`` is
+    certified.  A ``lower`` that fails its own certificate raises
+    ``ValueError``.
     """
     tab.require_nodes(lower.nodes)
     t_max = _default_t_max(p)
@@ -205,20 +306,31 @@ def upper_step(p: Problem, lower: BoundaryGrid, tab: Tabulation) -> BoundaryGrid
     v = lower.values[1:]
     P, Wc = _prefix_sums(tab, v)
     neg_v = -v
+    evals = 0
 
-    def holds(k: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def cert(k: np.ndarray, t: np.ndarray) -> np.ndarray:
         # Test boundary max(t, v_n) on segments ..k-1: v is non-increasing, so
         # it keeps v_n up to j = #{v_n >= t} and sits at t on j..k-1.
+        nonlocal evals
+        evals += 1
         j = np.minimum(np.searchsorted(neg_v, -t, side="right"), k)
-        return _block_residuals(tab, P, Wc, j, k, t).max(axis=0) <= 0.0
+        return _block_residuals(tab, P, Wc, j, k, t).max(axis=0) > 0.0
+
+    def level(i: np.ndarray) -> np.ndarray:
+        # Breakpoint i: 0 at i = -1, then v_i.
+        return np.where(i < 0, 0.0, v[i])
 
     out = np.zeros(n)
     k = np.arange(1, n)
-    k = k[~holds(k, np.zeros(k.shape))]
+    k = k[cert(k, np.zeros(k.shape))]
     # At t = -t_max every node's test boundary is ``lower`` itself.
-    if not np.all(holds(k, np.full(k.shape, -t_max))):
+    if np.any(cert(k, np.full(k.shape, -t_max))):
         raise ValueError("upper_step: the lower bound fails its own certificate")
-    out[k] = _lockstep_bisect(lambda k, t: ~holds(k, t), k, t_max)[0]
+    # Between breakpoints i and i + 1 the level covers segments i + 1..k-1;
+    # at v_(k-1) the test boundary is ``lower`` again.
+    i = _last_true(lambda k, i: cert(k, level(i)), k, np.full(k.shape, -1), k - 1)
+    out[k] = _certified_levels(tab, P, Wc, cert, k, (i + 1, k), (level(i), level(i + 1)), -1.0)
+    log.debug("upper step: %d residual-block evaluations", evals)
     return lower.with_values(np.minimum.accumulate(np.maximum(out, lower.values)))
 
 

@@ -1,9 +1,12 @@
 """The loops the envelope steps, the weight rule and the lattice replaced, kept as references.
 
-The per-node scalar bisection takes one full residual sum per probe; the
-lockstep prefix-sum steps must reproduce it bit for bit.  The adaptive
-weights take one quadrature per segment and parameter; the Gauss--Legendre
-rule must match them to 1e-12 relative on smooth integrands.  The lattice
+The per-node scalar bisection takes one full residual sum per probe and
+then bisects the grid of certified levels within its final bracket; the
+lockstep prefix-sum steps, which reach that grid point by a closed form,
+must reproduce it bit for bit, and ``certificate_faults`` checks each
+bound's certificate in full sums.  The adaptive weights take one
+quadrature per segment and parameter; the Gauss--Legendre rule must match
+them to 1e-12 relative on smooth integrands.  The lattice
 interpolates every Gauss--Hermite point with ``np.interp`` on each step and
 stores the whole ``(n_t, n_x)`` value array; the stencil lattice must
 match its values and boundary to round-off.  ``reference_stencil`` is the
@@ -30,7 +33,12 @@ from scipy import sparse
 from stopbound import _kernels, numerics, oracle
 
 
+# The tolerance of the scalar reference bisection.
+BISECTION_TOL = 1e-6
+
+
 def _bisect(holds, t_max, tol, keep_high):
+    """The final bracket ``(lo, hi)`` of bisecting ``[-t_max, 0]`` for the switch of ``holds``."""
     lo, hi = -t_max, 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -38,52 +46,99 @@ def _bisect(holds, t_max, tol, keep_high):
             hi = mid
         else:
             lo = mid
-    return hi if keep_high else lo
+    return lo, hi
+
+
+def _on_grid(holds, bracket, grid, keep_high):
+    """The grid level next to the switch of ``holds`` in ``bracket``, on the side where it fails.
+
+    ``holds`` keeps its value at ``hi`` above the switch when ``keep_high``,
+    at ``lo`` below it otherwise; the grid indices bisected start just
+    outside the bracket, so the level lies within one grid step of it.
+    """
+    lo, hi = bracket
+    if keep_high:
+        a, b = math.ceil(lo / grid) - 1, math.ceil(hi / grid)
+    else:
+        a, b = math.floor(lo / grid), math.floor(hi / grid) + 1
+    while b - a > 1:
+        mid = (a + b) // 2
+        if holds(mid * grid) == keep_high:
+            b = mid
+        else:
+            a = mid
+    return (a if keep_high else b) * grid
 
 
 def residuals(tab, d):
     return _kernels.residuals(tab.lap, tab.W, tab.gam, np.ascontiguousarray(d))
 
 
-def reference_lower_step(tab, upper, tol, t_max):
+def lower_holds(tab, u, k, t):
+    """Every full-sum residual ``>= 0`` with level ``t`` on segments ``k..`` capped by ``u``."""
+    d = u[:-1].copy()
+    d[k:] = np.minimum(t, d[k:])
+    return bool(np.min(residuals(tab, d)) >= 0.0)
+
+
+def upper_holds(tab, v, k, t):
+    """Every full-sum residual ``<= 0`` with level ``t`` on segments ``..k-1`` floored by ``v[1:]``."""
+    d = v[1:].copy()
+    d[:k] = np.maximum(t, d[:k])
+    return bool(np.max(residuals(tab, d)) <= 0.0)
+
+
+def reference_lower_step(tab, upper, tol, t_max, grid):
+    """Per node, bisection to ``tol``, then the certified grid level within its bracket."""
     u = upper.values
     n = u.shape[0]
     out = np.zeros(n)
     truncated = np.zeros(n, dtype=bool)
     for k in range(1, n):
-        tail = np.arange(n - 1) >= k
 
         def holds(t):
-            d = np.where(tail, np.minimum(t, u[:-1]), u[:-1])
-            return bool(np.min(residuals(tab, d)) >= 0.0)
+            return lower_holds(tab, u, k, t)
 
         if not holds(0.0):
             out[k] = u[k]
         elif holds(-t_max):
             out[k], truncated[k] = -t_max, True
         else:
-            out[k] = _bisect(holds, t_max, tol, keep_high=True)
+            out[k] = _on_grid(holds, _bisect(holds, t_max, tol, True), grid, True)
     return np.maximum.accumulate(np.minimum(out, u)[::-1])[::-1], truncated
 
 
-def reference_upper_step(tab, lower, tol, t_max):
+def reference_upper_step(tab, lower, tol, t_max, grid):
+    """Per node, bisection to ``tol``, then the certified grid level within its bracket."""
     v = lower.values
     n = v.shape[0]
     out = np.zeros(n)
     for k in range(1, n):
-        head = np.arange(n - 1) < k
 
         def holds(t):
-            d = np.where(head, np.maximum(t, v[1:]), v[1:])
-            return bool(np.max(residuals(tab, d)) <= 0.0)
+            return upper_holds(tab, v, k, t)
 
         if holds(0.0):
             out[k] = 0.0
         elif not holds(-t_max):
             out[k] = v[k]
         else:
-            out[k] = _bisect(holds, t_max, tol, keep_high=False)
+            out[k] = _on_grid(holds, _bisect(holds, t_max, tol, False), grid, False)
     return np.minimum(np.minimum.accumulate(np.maximum(out, v)), 0.0)
+
+
+def certificate_faults(tab, against, values, grid, t_max, lower):
+    """Nodes whose bound lacks its full-sum certificate, or still has it one grid step inward.
+
+    ``values`` are a lower step's bounds against the upper bound
+    ``against`` when ``lower``, else an upper step's against the lower
+    bound ``against``.  A lower bound at ``-t_max`` (truncated) and an
+    upper bound at 0 certify nothing and are skipped.
+    """
+    holds, inward, vacuous = (lower_holds, grid, -t_max) if lower else (upper_holds, -grid, 0.0)
+    b = against.values
+    return [k for k in range(1, values.shape[0]) if values[k] != vacuous
+            and (holds(tab, b, k, values[k]) or not holds(tab, b, k, values[k] + inward))]
 
 
 def adaptive_weights(p, nodes, cs):
@@ -209,8 +264,8 @@ class _StencilRows:
     def __getattr__(self, name):
         return getattr(self.A, name)
 
-    def prefix(self, v, m, out):
-        product = self.A.prefix(v, m, out)
+    def prefix(self, m, out):
+        product = self.A.prefix(m, out)
 
         def logged():
             self.log.append(m)

@@ -1,11 +1,13 @@
 """Certified envelope construction and its tightening behavior."""
 
+import math
+
 import numpy as np
 import pytest
 
 from stopbound import bounds as bounds_mod
 from stopbound.bounds import (
-    BISECTION_TOL,
+    GRID,
     BoundaryEnvelope,
     extended_cvalues,
     initial_envelope,
@@ -17,7 +19,13 @@ from stopbound.constants import solve_B
 from stopbound.fredholm import BoundaryGrid, CGrid
 from stopbound.problem import builtin, american_put
 
-from reference_loops import reference_lower_step, reference_upper_step, residuals
+from reference_loops import (
+    BISECTION_TOL,
+    certificate_faults,
+    reference_lower_step,
+    reference_upper_step,
+    residuals,
+)
 
 
 N_NODES = 24
@@ -147,7 +155,14 @@ class TestEnvelopeValidation:
 
 
 class TestLockstepMatchesScalarBisection:
-    """The lockstep steps reproduce the per-node scalar bisection exactly."""
+    """The lockstep steps reproduce the per-node scalar bisection, refined on the grid, exactly.
+
+    The reference bisects each node to ``BISECTION_TOL`` and then bisects
+    the grid of certified levels within its final bracket, so a matching
+    bound lies within one grid step of that bracket on its certified side;
+    every bound also carries its certificate in full sums, and loses it one
+    grid step inward.
+    """
 
     PROBLEMS = {
         "linear": lambda: builtin("linear"),
@@ -161,23 +176,27 @@ class TestLockstepMatchesScalarBisection:
     def test_steps_bit_equal(self, label, grid):
         p = self.PROBLEMS[label]()
         n_nodes, n_c = grid
-        tol, t_max = BISECTION_TOL, 50.0 / p.r  # the defaults
+        t_max = 50.0 / p.r  # the default
         nodes = BoundaryGrid.uniform(p, n_nodes).nodes
         env = initial_envelope(p, nodes, CGrid.for_problem(p, n_c))
         tab = env.tabulation
         zero = BoundaryGrid(nodes, np.zeros(n_nodes))
-        ref_low, ref_trunc = reference_lower_step(tab, zero, tol, t_max)
+        ref_low, ref_trunc = reference_lower_step(tab, zero, BISECTION_TOL, t_max, GRID)
         assert np.array_equal(env.lower.values, ref_low)
         assert np.array_equal(env.lower_truncated, ref_trunc)
         assert ref_trunc.any() and not ref_trunc.all()
+        assert certificate_faults(tab, zero, env.lower.values, GRID, t_max, lower=True) == []
 
         up = upper_step(p, env.lower, tab)
-        assert np.array_equal(up.values, reference_upper_step(tab, env.lower, tol, t_max))
+        ref_up = reference_upper_step(tab, env.lower, BISECTION_TOL, t_max, GRID)
+        assert np.array_equal(up.values, ref_up)
+        assert certificate_faults(tab, env.lower, up.values, GRID, t_max, lower=False) == []
 
         low, trunc = lower_step(p, up, tab)
-        ref_low, ref_trunc = reference_lower_step(tab, up, tol, t_max)
+        ref_low, ref_trunc = reference_lower_step(tab, up, BISECTION_TOL, t_max, GRID)
         assert np.array_equal(low.values, ref_low)
         assert np.array_equal(trunc, ref_trunc)
+        assert certificate_faults(tab, up, low.values, GRID, t_max, lower=True) == []
 
     def test_small_t_max_truncates(self, linear, env0, monkeypatch):
         # Levels of about 1 are certified at the middle nodes, so a range of
@@ -186,11 +205,12 @@ class TestLockstepMatchesScalarBisection:
         monkeypatch.setattr(bounds_mod, "_default_t_max", lambda p: t_max)
         zero = env0.upper
         low, trunc = lower_step(linear, zero, tab)
-        ref_low, ref_trunc = reference_lower_step(tab, zero, BISECTION_TOL, t_max)
+        ref_low, ref_trunc = reference_lower_step(tab, zero, BISECTION_TOL, t_max, GRID)
         assert 1 < trunc.sum() < N_NODES - 1  # some nodes truncate, not all
         assert np.array_equal(trunc, ref_trunc)
         assert np.array_equal(low.values, ref_low)
         assert np.all(low.values[trunc] == -t_max)
+        assert certificate_faults(tab, zero, low.values, GRID, t_max, lower=True) == []
         # Truncated at -1, the lower bound is not one: it fails its own
         # certificate against the upper step.
         with pytest.raises(ValueError, match="upper_step"):
@@ -211,3 +231,87 @@ class TestLockstepMatchesScalarBisection:
         shallow = env0.lower.with_values(0.5 * up.values)
         with pytest.raises(ValueError, match="upper_step"):
             upper_step(linear, shallow, env0.tabulation)
+
+
+class TestCertifiedSteps:
+    """Every bound a step returns is proved by the full-sum residuals, and sharp to one grid step."""
+
+    PROBLEMS = {
+        "linear": lambda: builtin("linear"),
+        "put_1_0.5": lambda: american_put(1.0, 0.5),
+    }
+
+    @staticmethod
+    def recorded_steps(p, monkeypatch):
+        """``(lower, against, values, tab)`` of every step of ``iterate`` at 60x40, 3 iterations."""
+        steps = []
+        lower, upper = bounds_mod.lower_step, bounds_mod.upper_step
+
+        def lower_recorded(p, against, tab):
+            out = lower(p, against, tab)
+            steps.append((True, against, out[0].values, tab))
+            return out
+
+        def upper_recorded(p, against, tab):
+            out = upper(p, against, tab)
+            steps.append((False, against, out.values, tab))
+            return out
+
+        monkeypatch.setattr(bounds_mod, "lower_step", lower_recorded)
+        monkeypatch.setattr(bounds_mod, "upper_step", upper_recorded)
+        iterate(p, BoundaryGrid.uniform(p, 60).nodes, CGrid.for_problem(p, 40), 3)
+        return steps
+
+    @pytest.mark.parametrize("label", sorted(PROBLEMS))
+    def test_every_returned_level_is_certified(self, label, monkeypatch):
+        p = self.PROBLEMS[label]()
+        steps = self.recorded_steps(p, monkeypatch)
+        assert [lower for lower, *_ in steps] == [True, False, True, False]
+        t_max = 50.0 / p.r
+        for lower, against, values, tab in steps:
+            assert np.any(values[1:] != (-t_max if lower else 0.0))  # something is probed
+            assert certificate_faults(tab, against, values, GRID, t_max, lower) == []
+
+    # (start of the grid search given the closed-form level, extra evaluations allowed)
+    STARTS = {
+        # one gallop and one bisection over the piece, each at most log2 of
+        # its width in grid steps, plus one
+        "outward_end": (lambda tau: np.full_like(tau, -np.inf), None),
+        "inward_end": (lambda tau: np.full_like(tau, np.inf), None),
+        # three grid steps inward: a gallop of 2 and a bisection of 2
+        "three_steps_in": (lambda tau: tau + 3 * GRID, 5),
+    }
+
+    @pytest.mark.parametrize("start", sorted(STARTS))
+    @pytest.mark.parametrize("label", sorted(PROBLEMS))
+    def test_grid_search_from_a_bad_start(self, label, start, monkeypatch):
+        # Started away from the closed-form switch level, the galloping
+        # search must find the same grid point within its evaluation bound.
+        p = self.PROBLEMS[label]()
+        env = initial_envelope(p, BoundaryGrid.uniform(p, 60).nodes, CGrid.for_problem(p, 40))
+        tab = env.tabulation
+        calls = []
+        block, switch = bounds_mod._block_residuals, bounds_mod._switch_levels
+
+        def counted(*args):
+            calls.append(1)
+            return block(*args)
+
+        monkeypatch.setattr(bounds_mod, "_block_residuals", counted)
+
+        def run():
+            calls.clear()
+            up = upper_step(p, env.lower, tab)
+            n_up = len(calls)
+            low, trunc = lower_step(p, up, tab)
+            return up.values, low.values, trunc, n_up, len(calls) - n_up
+
+        *good, good_up, good_low = run()
+        moved, bound = self.STARTS[start]
+        monkeypatch.setattr(bounds_mod, "_switch_levels", lambda *args: moved(switch(*args)))
+        *bad, bad_up, bad_low = run()
+        assert all(np.array_equal(a, b) for a, b in zip(good, bad))
+        if bound is None:
+            bound = 2 * math.ceil(math.log2(50.0 / p.r / GRID + 2)) + 2
+        for n_good, n_bad in ((good_up, bad_up), (good_low, bad_low)):
+            assert n_good < n_bad <= n_good + bound

@@ -215,9 +215,9 @@ class TestStencilLattice:
               n - reach + 1, n - 1, n}
         for m in sorted(k for k in ms if 1 <= k <= n):
             # rows from m + reach up are not read, rows from m up not written
-            v_m = np.where(np.arange(n) < m + reach, v, np.nan)
+            A.values[...] = np.where(np.arange(n) < m + reach, v, np.nan)
             out = np.full(n, np.nan)
-            A.prefix(v_m, m, out)()
+            A.prefix(m, out)()
             assert np.array_equal(out[:m], full[:m]), m
             assert np.isnan(out[m:]).all()
 
