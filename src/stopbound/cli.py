@@ -33,6 +33,7 @@ from . import __version__
 from . import bounds as bounds_mod
 from . import constants as constants_mod
 from . import fredholm, oracle, solver
+from .numerics import ToleranceNotMetError
 from .problem import Problem, ProblemFileError, builtin, load_problem_file
 
 __all__ = ["main"]
@@ -430,7 +431,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ProblemFileError, ValueError) as exc:
+    except (ProblemFileError, ValueError, ToleranceNotMetError) as exc:
+        # A problem file whose integrals the quadrature cannot take (a
+        # weight past the float range) is a bad input, not a crash.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -215,10 +215,12 @@ def segment_weights(p: Problem, grid: BoundaryGrid, c: float | np.ndarray) -> np
     :data:`DEFAULT_QUADRATURE` as the floor) is integrated adaptively at
     every ``c`` instead, which catches a kink of a problem-file ``h_tilde``.
     A rule that is not finite fails its guard too, so a weight past the
-    floating-point range raises ``OverflowError`` from the adaptive
-    quadrature.
-    Atoms of ``h_tilde`` located inside ``[0, b_inf]`` contribute
-    ``weight * exp(c * location)`` to the segment that contains them.
+    floating-point range raises :class:`~stopbound.numerics.ToleranceNotMetError`
+    from the adaptive quadrature, whose integrand is not finite there.
+    Atoms of ``h_tilde`` located in ``(0, b_inf]`` contribute
+    ``weight * exp(c * location)`` to the segment that contains them; an
+    atom at or below 0 belongs to ``laplace_h_tilde`` alone, so one at the
+    origin is counted once.
     The weights are plain integrals and are defined for any ``c``;
     admissibility (``c > sqrt(2r)``) is enforced where the integral
     identity itself is evaluated.  Nothing is cached: a run shares its
@@ -231,14 +233,15 @@ def segment_weights(p: Problem, grid: BoundaryGrid, c: float | np.ndarray) -> np
     guard = _gauss_legendre(p, nodes, cs, 2 * _GL_POINTS)
     floor = np.maximum(_GL_GUARD_RTOL * np.abs(guard), DEFAULT_QUADRATURE.absolute_tolerance)
     passed = np.isfinite(guard) & (np.abs(w - guard) <= floor)
-    for n in np.flatnonzero(~np.all(passed, axis=0)):
-        for i, ci in enumerate(cs.tolist()):
-            w[i, n] = integrate_finite(
-                lambda y: math.exp(ci * y) * p.h_tilde(y), nodes[n], nodes[n + 1]
-            )
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite fails the quadrature
+        for n in np.flatnonzero(~np.all(passed, axis=0)):
+            for i, ci in enumerate(cs.tolist()):
+                w[i, n] = integrate_finite(
+                    lambda y: np.exp(ci * y) * p.h_tilde(y), nodes[n], nodes[n + 1]
+                )
     last = nodes[-1]
     for loc, weight in p.atoms:
-        if nodes[0] <= loc <= last:
+        if 0.0 < loc <= last:
             n = min(int(np.searchsorted(nodes, loc, side="right")) - 1, n_seg - 1)
             w[:, n] += weight * np.exp(cs * loc)
     return w if np.ndim(c) else w[0]
@@ -317,14 +320,15 @@ def verify_closed_form(label: str, cvalues: Sequence[float], alpha: float | None
         def inner(s: float) -> float:
             u = alpha * math.sqrt(-s)
             return integrate_semi_infinite(
-                lambda x: -x * math.exp(c * x), u, max(c / 2.0, 0.25)
+                lambda x: -x * np.exp(c * x), u, max(c / 2.0, 0.25)
             )
 
-        val = integrate_semi_infinite(
-            lambda s: math.exp(c * c * s / 2.0) * inner(s),
-            0.0,
-            c * c / 4.0,
-            outer_spec,
-        )
+        def outer(s):
+            # Each point's inner integral is a quadrature of its own, so
+            # this integrand alone evaluates its points one at a time.
+            inners = np.reshape([inner(v) for v in np.ravel(s).tolist()], np.shape(s))
+            return np.exp(c * c * s / 2.0) * inners
+
+        val = integrate_semi_infinite(outer, 0.0, c * c / 4.0, outer_spec)
         worst = max(worst, abs(val))
     return worst

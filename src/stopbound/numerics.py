@@ -133,13 +133,14 @@ def _gk15(f, a: float, b: float):
     The error is QUADPACK's: ``|K - G|`` rescaled by the integral of
     ``|f - mean|`` and floored at 50 ulp of the integral of ``|f|``.
     ``None`` when the panel is so narrow that a rule point rounds onto an
-    end.
+    end.  ``f`` is called once, on the array of the 15 rule points; a
+    value that does not depend on the points (a constant) is broadcast.
     """
     half = 0.5 * (b - a)
     x = 0.5 * (a + b) + half * _GK_X
     if not a < x[0] <= x[-1] < b:
         return None
-    fx = np.array([f(v) for v in x.tolist()], dtype=float)
+    fx = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
     kronrod = float(_GK_WK @ fx)
     err = abs(half * (kronrod - float(_GK_WG @ fx)))
     resasc = abs(half) * float(_GK_WK @ np.abs(fx - 0.5 * kronrod))
@@ -157,7 +158,9 @@ def integrate_finite(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADR
     bisected until the summed error is at most
     ``max(abs_tol, rel_tol * |I|)``.  Panels are open (the endpoints are
     never evaluated), so integrable endpoint singularities are tolerated.
-    ``f`` is called on Python floats, one point at a time.  Raises
+    ``f`` takes a NumPy array of points and returns their values (or a
+    value that broadcasts against them): each panel is one call on its 15
+    rule points.  Raises
     :class:`ToleranceNotMetError`, with the estimate and its error bound,
     when the target is not met within ``max_subdivisions`` panels, the
     integrand is not finite at a rule point, or the worst panel is too
@@ -214,6 +217,8 @@ def integrate_semi_infinite(
     the truncation point ``a - span`` doubles its span until the implied
     tail bound ``|f(a - span)| / decay_rate`` falls below the absolute
     tolerance, after which the finite integral is evaluated adaptively.
+    ``f`` takes point arrays as in :func:`integrate_finite`; the tail probe
+    passes it a single float.
     """
     if decay_rate <= 0.0:
         raise InvalidDecayError(f"declared decay rate must be positive, got {decay_rate}")

@@ -71,8 +71,11 @@ class Problem:
         Generator payoff ``r*h - h''/2`` (density part).
 
         ``h`` and ``h_tilde`` take a NumPy array of points (or a float) and
-        return values that broadcast against it; every caller evaluates
-        a whole point array in one call.
+        return values that broadcast against it.  Callers evaluate a whole
+        point array in one call: the weight rule its segments' points, the
+        adaptive quadrature (a problem file's transform, the weights'
+        fallback) each panel's 15 points; only a semi-infinite integral's
+        tail probe passes one float.
     laplace_h_tilde : callable
         ``c -> integral_{-inf}^0 exp(c*y) dh_tilde(y)`` including atoms.
     b_inf : float
@@ -89,7 +92,9 @@ class Problem:
         ``m_ratio = 4``, and its lattice boundary gives ``B`` close to
         ``solve_B(1, 4) = 1.0621``, not ``solve_B(1, 0.25) = 6.711``.
     atoms : tuple of (location, weight)
-        Point masses of ``h_tilde``.
+        Point masses of ``h_tilde``.  One at or below 0 enters
+        ``laplace_h_tilde``, one in ``(0, b_inf]`` the segment weights, so
+        an atom at the origin is counted once, in the transform.
     """
 
     label: str
@@ -145,7 +150,11 @@ def numeric_laplace(
     atoms: Tuple[Tuple[float, float], ...] = (),
     growth: float = 0.0,
 ) -> Callable[[float], float]:
-    """Build ``c -> integral_{-inf}^0 exp(c*y) dh_tilde(y)`` by quadrature."""
+    """Build ``c -> integral_{-inf}^0 exp(c*y) dh_tilde(y)`` by quadrature.
+
+    ``h_tilde`` is evaluated on point arrays, one call per quadrature panel.
+    The atoms at or below 0 are added; the segment weights take the others.
+    """
 
     def lap(c: float) -> float:
         decay = c - growth
@@ -153,7 +162,7 @@ def numeric_laplace(
             raise ValueError(
                 f"kernel parameter {c} does not dominate the payoff growth {growth}"
             )
-        val = integrate_semi_infinite(lambda y: math.exp(c * y) * h_tilde(y), 0.0, decay)
+        val = integrate_semi_infinite(lambda y: np.exp(c * y) * h_tilde(y), 0.0, decay)
         for loc, w in atoms:
             if loc <= 0.0:
                 val += w * math.exp(c * loc)

@@ -142,14 +142,17 @@ def certificate_faults(tab, against, values, grid, t_max, lower):
 
 
 def adaptive_weights(p, nodes, cs):
-    """Segment weights by one adaptive quadrature per segment and parameter."""
+    """Segment weights by one adaptive quadrature per segment and parameter.
+
+    Atoms in ``(0, b_inf]`` are added; one at the origin is the transform's.
+    """
     w = np.array([
-        [numerics.integrate_finite(lambda y: math.exp(c * y) * p.h_tilde(y), a, b)
+        [numerics.integrate_finite(lambda y: np.exp(c * y) * p.h_tilde(y), a, b)
          for a, b in zip(nodes[:-1], nodes[1:])]
         for c in cs
     ])
     for loc, weight in p.atoms:
-        if 0.0 <= loc <= nodes[-1]:
+        if 0.0 < loc <= nodes[-1]:
             n = min(int(np.searchsorted(nodes, loc, side="right")) - 1, len(nodes) - 2)
             w[:, n] += [weight * math.exp(c * loc) for c in cs]
     return w

@@ -56,6 +56,17 @@ class TestUsage:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: htilde_expr 'log(y - 2)'")
 
+    def test_problem_file_quadrature_failure(self, tmp_path, capsys):
+        # exp(c*y) passes the float range inside [0, 40]: the weights'
+        # quadrature fails, and that is an error line, not a traceback.
+        path = tmp_path / "overflow.txt"
+        path.write_text("r = 1\nb_inf = 40\nhtilde_expr = max(0, 1 - y)\n", encoding="utf-8")
+        rc = cli.main(["bounds", "--problem-file", str(path), "--out-dir", str(tmp_path)])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: integrate_finite on ")
+        assert "not finite" in err[0]
+
     def test_missing_problem(self, tmp_path, capsys):
         rc = cli.main(["solve", "--out-dir", str(tmp_path)])
         assert rc == cli.EXIT_USAGE

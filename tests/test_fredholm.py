@@ -21,6 +21,7 @@ from stopbound.fredholm import (
     tabulate,
     verify_closed_form,
 )
+from stopbound.numerics import ToleranceNotMetError
 from stopbound.problem import Problem, american_put, builtin, load_problem_file
 
 from reference_loops import adaptive_weights
@@ -108,6 +109,36 @@ class TestSegmentWeights:
         assert w[0] == pytest.approx(2.0 * math.exp(0.75))
         assert w[1] == 0.0
 
+    def test_constant_expression_tabulates(self, tmp_path):
+        # A constant h_tilde is one value for a whole point array; the
+        # transform's quadrature broadcasts it over each panel.
+        path = tmp_path / "constant.txt"
+        path.write_text("r = 1\nb_inf = 0.7\nhtilde_expr = 2\n")
+        p = load_problem_file(str(path))
+        grid = BoundaryGrid.uniform(p, 8)
+        cs = CGrid.for_problem(p, 4).values
+        tab = tabulate(p, grid, CGrid(cs))
+        assert tab.lap == pytest.approx(2.0 / cs, rel=1e-10)
+        exact = 2.0 * np.diff(np.exp(np.outer(cs, grid.nodes)), axis=1) / cs[:, None]
+        assert np.allclose(tab.W, exact, rtol=1e-12, atol=0.0)
+
+    def test_atom_at_origin_counted_once(self, tmp_path):
+        # An atom at 0 belongs to the transform (atoms at or below 0), not
+        # to the first segment's weight as well; at d = 0 every residual
+        # moves by the atom's weight exactly once.
+        text = "r = 1\nb_inf = 0.7071067811865476\nhtilde_expr = y\n"
+        tabs = []
+        for name, extra in (("plain", ""), ("atom", "atoms = 0:-0.25\n")):
+            path = tmp_path / f"{name}.txt"
+            path.write_text(text + extra)
+            p = load_problem_file(str(path))
+            grid = BoundaryGrid.uniform(p, 12)
+            tabs.append((grid, tabulate(p, grid, CGrid.for_problem(p, 4))))
+        (grid, plain), (_, atom) = tabs
+        assert np.array_equal(atom.W, plain.W)
+        moved = atom.residual_vector(grid).residuals - plain.residual_vector(grid).residuals
+        assert moved == pytest.approx(np.full(4, -0.25), rel=0.0, abs=1e-12)
+
     def test_scaled_puts_share_the_envelope(self):
         # Scaling the payoff leaves the boundary, and so the certified
         # envelope, unchanged.
@@ -171,7 +202,7 @@ class TestWeightRule:
     def test_overflowing_weights_raise(self, tmp_path):
         # exp(c*y) passes the floating-point range past y ~ 709/c: there the
         # rule is inf, or nan where h_tilde vanishes, and fails its guard.
-        # The adaptive fallback raises, as it did before the rule existed,
+        # The adaptive fallback meets the same non-finite points and raises
         # rather than hand the envelope weights it cannot bound.
         path = tmp_path / "overflow.txt"
         path.write_text("r = 1\nb_inf = 40\nhtilde_expr = max(0, 1 - y)\n")
@@ -179,7 +210,7 @@ class TestWeightRule:
         nodes = BoundaryGrid.uniform(p, 60).nodes
         cgrid = CGrid.for_problem(p, 40)
         assert bounds_mod.extended_cvalues(p, cgrid).max() * nodes[-1] > 709.8
-        with pytest.raises(OverflowError):
+        with pytest.raises(ToleranceNotMetError, match="not finite"):
             bounds_mod.iterate(p, nodes, cgrid, 3)
 
     def test_scalar_parameter_is_a_row(self, linear):

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from scipy.optimize import brentq
 
@@ -38,7 +39,7 @@ class TestIntegrateFinite:
 
     def test_endpoint_singularity(self):
         # antiderivative 2*sqrt(x)
-        val = integrate_finite(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0)
+        val = integrate_finite(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
         assert val == pytest.approx(2.0, abs=1e-9)
 
     def test_budget_exhaustion_raises_with_estimate(self):
@@ -46,34 +47,54 @@ class TestIntegrateFinite:
             relative_tolerance=1e-13, absolute_tolerance=1e-14, max_subdivisions=1
         )
         with pytest.raises(ToleranceNotMetError) as exc:
-            integrate_finite(lambda x: math.sin(50.0 * x), 0.0, 10.0, spec)
+            integrate_finite(lambda x: np.sin(50.0 * x), 0.0, 10.0, spec)
         assert math.isfinite(exc.value.estimate)
+
+    def test_one_call_per_panel(self):
+        # Each panel is one call on its 15 rule points: one panel for x*x,
+        # and 2*panels - 1 calls when the budget of 20 panels runs out.
+        shapes = []
+
+        def recorded(f):
+            def g(x):
+                shapes.append(np.shape(x))
+                return f(x)
+            return g
+
+        integrate_finite(recorded(lambda x: x * x), 0.0, 1.0)
+        assert shapes == [(15,)]
+        shapes.clear()
+        spec = QuadratureSpec(relative_tolerance=1e-13, absolute_tolerance=1e-14,
+                              max_subdivisions=20)
+        with pytest.raises(ToleranceNotMetError, match="20 panels"):
+            integrate_finite(recorded(lambda x: np.sin(50.0 * x)), 0.0, 10.0, spec)
+        assert shapes == [(15,)] * (2 * 20 - 1)
 
 
 def _put_density(x):
     # exp(2.5 x) times the put's h_tilde at (1, 0.5), which jumps at
     # log(0.5): bisection puts the jump between a panel's end and its
     # outermost node, where the rule's own error estimate cannot see it.
-    if x <= math.log(0.5):
-        return 0.0
-    return 2.0**1.5 * math.exp(4.0 * x) * (1.0 - math.exp(-x))
+    return np.where(x <= math.log(0.5), 0.0,
+                    2.0**1.5 * np.exp(4.0 * x) * (1.0 - np.exp(-x)))
 
 
 class TestAgainstQuadpack:
     """``integrate_finite`` agrees with QUADPACK's ``quad`` to 1e-10 relative.
 
     SciPy is the reference only; the library's quadrature does not use it.
+    The integrands are NumPy expressions, which ``quad`` calls on floats.
     """
 
     @pytest.mark.parametrize("f, a, b", [
-        (lambda x: math.exp(3.0 * x) * math.cos(x), 0.0, 2.0),
-        (lambda x: math.exp(-x * x), -5.0, 5.0),
-        (lambda x: math.sin(50.0 * x), 0.0, 10.0),
-        (lambda x: 1.0 / math.sqrt(x), 0.0, 1.0),
-        (lambda x: math.log(x), 0.0, 1.0),
-        (lambda x: math.log(x) * math.exp(-x), 0.0, 3.0),
-        (lambda x: max(0.0, x - 0.3) * math.exp(2.0 * x), 0.0, 1.0),
-        (lambda x: abs(x - 1.0 / 3.0), 0.0, 1.0),
+        (lambda x: np.exp(3.0 * x) * np.cos(x), 0.0, 2.0),
+        (lambda x: np.exp(-x * x), -5.0, 5.0),
+        (lambda x: np.sin(50.0 * x), 0.0, 10.0),
+        (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0),
+        (lambda x: np.log(x), 0.0, 1.0),
+        (lambda x: np.log(x) * np.exp(-x), 0.0, 3.0),
+        (lambda x: np.maximum(0.0, x - 0.3) * np.exp(2.0 * x), 0.0, 1.0),
+        (lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0),
         (_put_density, -1.0, 0.0),
     ], ids=["smooth", "gaussian", "oscillating", "inverse-sqrt", "log", "log-weighted",
             "kink", "abs-kink", "jump"])
@@ -87,8 +108,8 @@ class TestAgainstQuadpack:
 
     def test_endpoints_never_evaluated(self):
         def f(x):
-            assert 0.0 < x < 1.0
-            return 1.0 / math.sqrt(x * (1.0 - x))
+            assert np.all((0.0 < x) & (x < 1.0))
+            return 1.0 / np.sqrt(x * (1.0 - x))
 
         # A singularity at an end away from 0 stops where the panels reach
         # the float spacing; that is a tolerance error, not an evaluation at
@@ -101,26 +122,27 @@ class TestAgainstQuadpack:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_integrand_raises(self):
         with pytest.raises(ToleranceNotMetError, match="not finite"):
-            integrate_finite(lambda x: math.inf if x > 0.5 else 1.0, 0.0, 1.0)
+            integrate_finite(lambda x: np.where(x > 0.5, math.inf, 1.0), 0.0, 1.0)
 
 
 class TestIntegrateSemiInfinite:
     # Integrals over [a, inf) are taken reflected, x -> -x, over (-inf, -a].
     def test_exponential_decay_right(self):
-        val = integrate_semi_infinite(lambda x: math.exp(x), 0.0, 1.0)
+        val = integrate_semi_infinite(lambda x: np.exp(x), 0.0, 1.0)
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_exponential_decay_left(self):
-        val = integrate_semi_infinite(lambda x: math.exp(2.0 * x), 0.0, 2.0)
+        val = integrate_semi_infinite(lambda x: np.exp(2.0 * x), 0.0, 2.0)
         assert val == pytest.approx(0.5, abs=1e-10)
 
     def test_gaussian_tail(self):
-        val = integrate_semi_infinite(lambda x: norm_pdf(-x), 0.0, 1.0)
+        val = integrate_semi_infinite(lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi),
+                                      0.0, 1.0)
         assert val == pytest.approx(0.5, abs=1e-10)
 
     def test_invalid_decay_rejected(self):
         with pytest.raises(InvalidDecayError):
-            integrate_semi_infinite(lambda x: math.exp(x), 0.0, 0.0)
+            integrate_semi_infinite(lambda x: np.exp(x), 0.0, 0.0)
 
 
 class TestNormal:
