@@ -8,7 +8,7 @@ segment and parameter, and the lattice that interpolates every
 Gauss--Hermite point with ``np.interp`` and stores the whole value array,
 the two-row lattice step that stored the stencil's zeros, multiplied every
 row and formed a value-payoff gap per slice, and the Monte Carlo loop that
-walks each member of every running antithetic pair one step at a time
+walks one displacement per running antithetic pair one step at a time
 through the same chunks of normals, in the same two streams.  The envelope
 steps, the two-row lattice and the Monte Carlo estimates must match their
 reference exactly, the weights to 1e-12 relative, and the ``np.interp``
@@ -216,7 +216,7 @@ def stencil_product(number=200, repeat=5):
 
 
 def monte_carlo(paths=5000, n_steps=2000, t_min=-1.0):
-    """Time ``mc_value`` against its paired chunk schedule walked by the step loop."""
+    """Time ``mc_value`` against its paired chunk schedule walked by the pair step loop."""
     p = builtin("linear")
     rule, _ = oracle.extract_d(oracle.backward_induction(p, t_min, None, n_steps, 500),
                                np.linspace(0.0, p.b_inf, 60))
@@ -224,9 +224,9 @@ def monte_carlo(paths=5000, n_steps=2000, t_min=-1.0):
     drawn = []
     kernel = k.mc_first_crossing
 
-    def counted(x, dt, walks, b):
-        drawn.append(walks[0].size)
-        return kernel(x, dt, walks, b)
+    def counted(s, x0, dt, walk, hit, b, running):
+        drawn.append(walk.size)
+        return kernel(s, x0, dt, walk, hit, b, running)
 
     t_ref, ref = _time(reference_mc_value, *args, n_steps=n_steps, repeat=1)
     k.mc_first_crossing = counted
@@ -239,8 +239,10 @@ def monte_carlo(paths=5000, n_steps=2000, t_min=-1.0):
     width = max(1, oracle._MC_BLOCK_VALUES // paths)
     print(f"linear Monte Carlo from ({t_min:g}, 0), {paths // 2} antithetic pairs x"
           f" {n_steps} steps in 2 streams, chunks of {width} steps, estimates equal")
-    print(f"normals drawn {sum(drawn):,} of paths x n_steps {paths * n_steps:,}"
-          f" ({sum(drawn) / (paths * n_steps):.3f})")
+    pair_steps = paths // 2 * n_steps
+    print(f"walk buffer values (one per running pair-step) {sum(drawn):,} of pairs x n_steps"
+          f" {pair_steps:,} ({sum(drawn) / pair_steps:.3f}); largest, one stream's chunk,"
+          f" {max(drawn) * 8:,} bytes")
     print(f"{'function':<22}{'step loop (s)':>15}{'current (s)':>13}{'speedup':>10}")
     print(f"{'mc_value':<22}{t_ref:>15.6f}{t_new:>13.6f}{t_ref / t_new:>10.1f}")
 

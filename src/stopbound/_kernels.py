@@ -15,8 +15,8 @@ rows above it lie deep in the stopping region, where the value is the
 payoff bit for bit;
 ``mc_first_crossing`` walks antithetic pairs of paths over a
 time-major chunk of normals, which the caller sizes and draws for the pairs
-still running: one row add per step and member, then one comparison over
-the chunk.
+still running: one displacement per pair, one row add per step, then one
+comparison over the chunk per member.
 
 Shapes used throughout:
 
@@ -372,37 +372,41 @@ def dp_backward(disc, hx, xs, dt, gh_x, gh_w):
     return v.copy(), v_terminal, boundary
 
 
-def mc_first_crossing(x, dt, walks, b):
+def mc_first_crossing(s, x0, dt, walk, hit, b, running):
     """First crossings of antithetic pairs of Euler paths over one chunk of steps.
 
-    ``walks`` has shape ``(2, width, pairs)``.  On entry ``walks[0]`` holds
-    the normals, time-major: ``walks[0, j, i]`` drives step ``j + 1`` of
-    pair ``i``, its first member by ``+z`` and its second by ``-z``, from
-    the positions ``x[0, i]`` and ``x[1, i]`` (``x`` has shape ``(2,
-    pairs)``); ``b[j]`` is the boundary level after step ``j + 1`` of length
-    ``dt``.  ``walks`` is overwritten with the positions of both members,
-    one row add per step, so each rounds exactly as a step-by-step walk
-    would.  A member crosses at the first step where its position is
-    ``>= b``; one that starts at ``-inf`` never does, so a stopped member
-    can ride along with a partner that still runs.  "Any hit" is reduced
-    along time first and the first hit is searched only for members that
-    hit.  Returns ``(col, x_at)``, each of shape ``(2, pairs)``: the
-    crossing column, or ``width`` for a member that does not cross, and the
-    position there (at the last column if none).
+    Each pair is walked as one displacement ``S``: its first member, driven
+    by ``+z``, is at ``x0 + S`` and its second, driven by ``-z``, at ``x0 -
+    S``.  ``walk`` has shape ``(width, pairs)``.  On entry it holds the
+    normals, time-major: ``walk[j, i]`` drives step ``j + 1`` of pair ``i``
+    from the displacement ``s[i]`` (``s`` has shape ``(pairs,)``); ``b[j]``
+    is the boundary level after step ``j + 1`` of length ``dt``.  ``walk``
+    is overwritten with ``S``, one row add per step, so it rounds exactly as
+    a step-by-step sum would, and ``s`` is advanced to the chunk's last
+    step.  The first member crosses at the first step with ``S >= b - x0``,
+    the second at the first step with ``S <= x0 - b``.  ``running`` (shape
+    ``(2, pairs)``) flags the members still running: only they can cross,
+    and each one that does is cleared.  ``hit`` is boolean scratch of
+    ``walk``'s shape.  "Any hit" is reduced along time first and the first
+    hit is searched only for members that hit.  Returns ``(col, x_at)``,
+    each of shape ``(2, pairs)``: the crossing column, or ``width`` for a
+    member that does not cross here, and the position there (at the last
+    column if none).
     """
-    width = walks.shape[1]
-    plus, minus = walks
-    plus *= math.sqrt(dt)
-    np.subtract(x[1], plus[0], out=minus[0])
-    plus[0] += x[0]
+    width = walk.shape[0]
+    walk *= math.sqrt(dt)
+    walk[0] += s
     for j in range(1, width):
-        np.subtract(minus[j - 1], plus[j], out=minus[j])
-        np.add(plus[j - 1], plus[j], out=plus[j])
-    hit = walks >= b[:, None]
-    member, pair = np.nonzero(hit.any(axis=1))
-    first = hit.transpose(0, 2, 1)[member, pair].argmax(axis=1)
-    col = np.full(x.shape, width)
-    col[member, pair] = first
-    x_at = walks[:, -1].copy()
-    x_at[member, pair] = walks[member, first, pair]
+        np.add(walk[j - 1], walk[j], out=walk[j])
+    s[...] = walk[-1]
+    col = np.full(running.shape, width)
+    x_at = np.stack([x0 + s, x0 - s])
+    members = ((np.greater_equal, b - x0, np.add), (np.less_equal, x0 - b, np.subtract))
+    for m, (crossed, level, position) in enumerate(members):
+        crossed(walk, level[:, None], out=hit)
+        pair = np.flatnonzero(hit.any(axis=0) & running[m])
+        first = hit[:, pair].argmax(axis=0)
+        col[m, pair] = first
+        x_at[m, pair] = position(x0, walk[first, pair])
+        running[m, pair] = False
     return col, x_at

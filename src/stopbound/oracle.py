@@ -29,12 +29,13 @@ payoff; so it is the payoff, and every value and boundary bit equals the
 full product's.  Monte Carlo simulates
 antithetic pairs of paths, driven by ``z`` and ``-z``, and takes its
 standard error over the pairs, which are the independent samples; so
-``paths`` must be even.  It advances the pairs in chunks of time steps and
-draws normals only for the pairs still running, so its memory is one chunk,
-not ``paths`` rows.  The pairs are split into two contiguous blocks, each
-drawn from its own generator spawned from the seed and run on a thread of
-its own: NumPy releases the interpreter lock while it draws normals, which
-is most of the cost.  The split is fixed, so a seed gives the same bits on
+``paths`` must be even.  It walks one displacement ``S`` per pair, its
+members at ``x0 + S`` and ``x0 - S``.  It advances the pairs in chunks of
+time steps and draws normals only for the pairs still running, so its
+memory is one chunk, not ``paths`` rows.  The pairs are split into two
+contiguous blocks, each drawn from its own generator spawned from the seed
+and run on a thread of its own: NumPy releases the interpreter lock while
+it draws normals, which is most of the cost.  The split is fixed, so a seed gives the same bits on
 any machine.
 """
 
@@ -66,9 +67,9 @@ __all__ = [
 ]
 
 
-# Float values per Monte Carlo chunk over both streams (8 MB), at least one
-# time step for every path: half hold the normals of the running pairs, half
-# the positions of their second members.
+# Path-steps per Monte Carlo chunk, at least one time step for every path.
+# A chunk walks one displacement per antithetic pair, so the walk buffers of
+# both streams together hold half as many float values (4 MB).
 _MC_BLOCK_VALUES = 2**20
 
 
@@ -288,33 +289,37 @@ def _mc_stream(
     """Stopping steps and positions of ``pairs`` antithetic pairs drawn from ``rng``.
 
     Walks the pairs in chunks of ``width`` time steps through one buffer
-    sized for these pairs.  Returns ``(stop_step, stop_x)``, each of shape
-    ``(2, pairs)``: row 0 is the member driven by ``+z``, row 1 the one
-    driven by ``-z``.
+    sized for these pairs, one displacement per pair, and one boolean
+    buffer of the same shape for the hit test.  Returns ``(stop_step,
+    stop_x)``, each of shape ``(2, pairs)``: row 0 is the member driven by
+    ``+z``, row 1 the one driven by ``-z``.
     """
-    buf = np.empty(2 * pairs * width)
+    buf = np.empty(pairs * width)
+    hit_buf = np.empty(pairs * width, dtype=bool)
     stop_step = np.zeros((2, pairs), dtype=np.int64)
     stop_x = np.full((2, pairs), float(x0))
     # A start at or past the boundary stops at step 0: no pair runs.
     live = np.arange(pairs if x0 < b_path[0] else 0)
-    x = stop_x[:, live]
+    s = np.zeros(live.size)
+    running = np.ones((2, live.size), dtype=bool)
     for k in range(0, n_steps, width):
         if not live.size:
             break
         w = min(width, n_steps - k)
-        walks = buf[:2 * w * live.size].reshape(2, w, live.size)
-        rng.standard_normal(out=walks[0])
-        col, x = _kernels.mc_first_crossing(x, dt, walks, b_path[k + 1:k + 1 + w])
+        walk = buf[:w * live.size].reshape(w, live.size)
+        rng.standard_normal(out=walk)
+        col, x = _kernels.mc_first_crossing(s, x0, dt, walk,
+                                            hit_buf[:walk.size].reshape(walk.shape),
+                                            b_path[k + 1:k + 1 + w], running)
         member, pair = np.nonzero(col < w)
         stop_step[member, live[pair]] = k + 1 + col[member, pair]
         stop_x[member, live[pair]] = x[member, pair]
-        # A stopped member rides along at -inf, where it never crosses.
-        x[member, pair] = -np.inf
-        running = np.any(x > -np.inf, axis=0)
-        live, x = live[running], x[:, running]
-    member, pair = np.nonzero(x > -np.inf)
+        # A pair runs on while either member does.
+        keep = running.any(axis=0)
+        live, s, running = live[keep], s[keep], running[:, keep]
+    member, pair = np.nonzero(running)
     stop_step[member, live[pair]] = n_steps
-    stop_x[member, live[pair]] = x[member, pair]
+    stop_x[member, live[pair]] = np.stack([x0 + s, x0 - s])[member, pair]
     return stop_step, stop_x
 
 
@@ -355,13 +360,16 @@ def mc_value(
     time steps (the last may be shorter) over its pairs still running, a
     pair running while either member does.  Each chunk draws one time-major
     ``(steps, running pairs)`` block of normals into the stream's
-    preallocated buffer, which also holds the second member's positions,
-    so a pair whose members have both stopped draws nothing more, a start
-    already in the stopping region draws nothing at all, and memory is
-    about :data:`_MC_BLOCK_VALUES` values over both streams together,
-    whatever ``paths`` and ``n_steps`` are.  Which normal drives which step
-    depends on the chunk width, so the estimate does too (within its
-    standard error); for a fixed seed and path count it is bit-for-bit
+    preallocated buffer and sums it in place into each pair's displacement
+    ``S``, carried from the last chunk.  The first member, at ``x0 + S``,
+    stops at the first step with ``S >= b - x0``, the second, at ``x0 -
+    S``, at the first with ``S <= x0 - b``, and a stopped member is masked
+    out by a flag.  So a pair whose members have both stopped draws nothing
+    more, a start already in the stopping region draws nothing at all, and
+    memory is about ``_MC_BLOCK_VALUES / 2`` float values over both streams
+    together, whatever ``paths`` and ``n_steps`` are.  Which normal drives
+    which step depends on the chunk width, so the estimate does too (within
+    its standard error); for a fixed seed and path count it is bit-for-bit
     reproducible.  Returns ``(estimate, standard_error)``.
     """
     if p.h is None:

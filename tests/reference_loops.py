@@ -16,12 +16,15 @@ the slice.  The two-row loop takes the stencil's full product on every
 row and forms the value-payoff gap of every slice; the step that
 multiplies only a row prefix must reproduce it bit for bit, and
 ``rows_multiplied`` counts that prefix.  Monte Carlo
-walks each member of every running antithetic pair one step at a time over
-each time-major chunk of normals, the second member over their negation,
-in each of two streams: contiguous blocks of the pairs, each drawn from its
-own generator spawned from the seed.  The kernel's row adds must reproduce
-its estimates bit for bit.  The whole-path draw of each stream is kept as
-well: a single chunk spanning every step must reproduce it.  The tests check these agreements and
+walks one displacement ``S`` per running antithetic pair one step at a time
+over each time-major chunk of normals, its members at ``x0 + S`` and ``x0 -
+S``, in each of two streams: contiguous blocks of the pairs, each drawn
+from its own generator spawned from the seed.  The kernel's row adds must
+reproduce its estimates bit for bit.  The whole-path draw of each stream is
+kept as well: a single chunk spanning every step must reproduce it.  The
+loop that walked each member from ``x0`` on its own, the second over the
+negated normals, is kept too: it must give the same stop steps and, to a
+few ulps, the same positions.  The tests check these agreements and
 ``benchmarks/bench_kernels.py`` times against these loops.
 """
 
@@ -327,6 +330,39 @@ def reference_mc_first_crossing(x0, n_steps, dt, normals, b_path):
     return stop_step, stop_x
 
 
+def reference_mc_pair_crossing(x0, dt, normals, b_path, s=None, running=None):
+    """First crossings of antithetic pairs by one masked update of every live displacement per step.
+
+    Pair ``i`` walks one displacement ``S`` from ``s[i]`` (0 by default),
+    ``normals[i, k - 1]`` driving step ``k``.  Its first member, at ``x0 +
+    S``, stops at the first step with ``S >= b_path[k] - x0``, its second,
+    at ``x0 - S``, at the first step with ``S <= x0 - b_path[k]``.
+    ``running`` flags the members that run, shape ``(2, pairs)`` (by
+    default every member when ``x0 < b_path[0]``, none otherwise).  Returns
+    ``(stop_step, stop_x, s, running)``: the stop step and position of each
+    member, ``n_steps`` and the last position for one that runs on (0 and
+    ``x0`` for one that never ran), and the displacements and flags at the
+    end.
+    """
+    pairs, n_steps = normals.shape
+    s = np.zeros(pairs) if s is None else np.array(s, dtype=float)
+    run = np.full((2, pairs), x0 < b_path[0]) if running is None else running.copy()
+    stop_step = np.where(run, n_steps, 0)
+    stop_x = np.full((2, pairs), float(x0))
+    sq = math.sqrt(dt)
+    for k in range(1, n_steps + 1):
+        live = run.any(axis=0)
+        s[live] += sq * normals[live, k - 1]
+        for m, crossed in enumerate((s >= b_path[k] - x0, s <= x0 - b_path[k])):
+            crossed &= run[m]
+            stop_step[m, crossed] = k
+            stop_x[m, crossed] = x0 + s[crossed] if m == 0 else x0 - s[crossed]
+            run[m] &= ~crossed
+    stop_x[0, run[0]] = x0 + s[run[0]]
+    stop_x[1, run[1]] = x0 - s[run[1]]
+    return stop_step, stop_x, s, run
+
+
 def _mc_b_path(t0, boundary, n_steps):
     dt = -t0 / n_steps
     ts = t0 + dt * np.arange(n_steps + 1)
@@ -364,13 +400,11 @@ def _two_stream_estimate(p, t0, x0, boundary, paths, rng_seed, n_steps, stream):
 
 def _one_shot_stream(rng, pairs, x0, dt, b_path, n_steps):
     normals = rng.standard_normal((n_steps, pairs))
-    members = [reference_mc_first_crossing(x0, n_steps, dt, sign * normals.T, b_path)
-               for sign in (1.0, -1.0)]
-    return tuple(np.stack(a) for a in zip(*members))
+    return reference_mc_pair_crossing(x0, dt, normals.T, b_path)[:2]
 
 
 def reference_one_shot_mc_value(p, t0, x0, boundary, paths, rng_seed, n_steps=2000):
-    """One time-major ``(n_steps, pairs)`` draw per stream; each member walked by the step loop.
+    """One time-major ``(n_steps, pairs)`` draw per stream, walked by the pair step loop.
 
     The first member of every pair is driven by the normals, the second by
     their negation.
@@ -380,13 +414,14 @@ def reference_one_shot_mc_value(p, t0, x0, boundary, paths, rng_seed, n_steps=20
 
 
 def reference_mc_value(p, t0, x0, boundary, paths, rng_seed, n_steps=2000, width=None):
-    """``oracle.mc_value`` by its paired chunk schedule, each member walked by the step loop.
+    """``oracle.mc_value`` by its paired chunk schedule, walked by the pair step loop.
 
     In each stream, each chunk of ``width`` steps (by default the oracle's)
     draws a fresh time-major ``(steps, running pairs)`` array of normals, in
-    pair order.  The first member of a pair is driven by the normals, the
-    second by their negation.  A member runs on while it ends the chunk
-    below the boundary, and a pair while either member runs.
+    pair order, and walks each pair's displacement on from where the last
+    chunk left it.  The first member of a pair is driven by the normals,
+    the second by their negation.  A member runs on while it does not stop
+    within the chunk, and a pair while either member runs.
     """
     if width is None:
         width = max(1, oracle._MC_BLOCK_VALUES // paths)
@@ -394,20 +429,18 @@ def reference_mc_value(p, t0, x0, boundary, paths, rng_seed, n_steps=2000, width
     def chunked_stream(rng, pairs, x0, dt, b_path, n_steps):
         stop_step = np.zeros((2, pairs), dtype=np.int64)
         stop_x = np.full((2, pairs), x0)
-        running = stop_x < b_path[0]
+        running = np.full((2, pairs), x0 < b_path[0])
+        s = np.zeros(pairs)
         for k in range(0, n_steps, width):
             live = np.flatnonzero(running.any(axis=0))
             w = min(width, n_steps - k)
             normals = rng.standard_normal((w, live.size))
-            for m, sign in enumerate((1.0, -1.0)):
-                own = running[m, live]
-                idx = live[own]
-                s, x = reference_mc_first_crossing(stop_x[m, idx], w, dt,
-                                                   sign * normals[:, own].T,
-                                                   b_path[k:k + w + 1])
-                stop_step[m, idx] = k + s
-                stop_x[m, idx] = x
-                running[m, idx] = x < b_path[k + s]
+            own = running[:, live]
+            step, x, s[live], running[:, live] = reference_mc_pair_crossing(
+                x0, dt, normals.T, b_path[k:k + w + 1], s[live], own)
+            member, pair = np.nonzero(own)
+            stop_step[member, live[pair]] = k + step[member, pair]
+            stop_x[member, live[pair]] = x[member, pair]
         return stop_step, stop_x
 
     return _two_stream_estimate(p, t0, x0, boundary, paths, rng_seed, n_steps, chunked_stream)

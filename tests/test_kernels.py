@@ -108,16 +108,22 @@ class TestPenalties:
 
 
 class TestMonteCarloEdges:
+    @staticmethod
+    def _run(x0, b_path, pairs=5):
+        walk = np.zeros((b_path.shape[0] - 1, pairs))
+        s, running = np.zeros(pairs), np.ones((2, pairs), dtype=bool)
+        col, x = _kernels.mc_first_crossing(s, x0, 0.1, walk, np.empty(walk.shape, dtype=bool),
+                                            b_path[1:], running)
+        return col, x, running
+
     def test_immediate_crossing(self):
-        walks = np.zeros((2, 10, 5))
-        b_path = np.zeros(11)
-        s, x = _kernels.mc_first_crossing(np.ones((2, 5)), 0.1, walks, b_path[1:])
+        s, x, running = self._run(1.0, np.zeros(11))
         assert np.all(s == 0)
         assert np.all(x == 1.0)
+        assert not running.any()
 
     def test_never_crossing(self):
-        walks = np.zeros((2, 10, 5))
-        b_path = np.full(11, 100.0)
-        s, x = _kernels.mc_first_crossing(np.zeros((2, 5)), 0.1, walks, b_path[1:])
+        s, x, running = self._run(0.0, np.full(11, 100.0))
         assert np.all(s == 10)
         assert np.all(x == 0.0)
+        assert running.all()

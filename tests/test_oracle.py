@@ -12,12 +12,14 @@ from stopbound.constants import solve_B
 from stopbound.problem import american_put, builtin
 
 from reference_loops import (
+    _mc_b_path,
     monotone_loop,
     reference_boundary_slice,
     reference_dp_backward,
     reference_expectation,
     reference_extract_boundary,
     reference_mc_first_crossing,
+    reference_mc_pair_crossing,
     reference_mc_value,
     reference_one_shot_mc_value,
     reference_stencil,
@@ -451,30 +453,69 @@ class TestMonteCarlo:
         assert est == pytest.approx(x0, abs=1e-12)
         assert se <= 1e-12
 
-    def test_kernel_matches_step_loop_on_ties(self):
-        # Integer steps against integer levels land exactly on the boundary.
-        normals = np.round(np.random.default_rng(4).normal(size=(300, 40)))
-        b_path = np.full(41, 2.0)
-        b_path[::7] = 3.0
-        walks = np.stack([normals.T, np.empty((40, 300))])
-        col, x = _kernels.mc_first_crossing(np.zeros((2, 300)), 1.0, walks, b_path[1:])
-        s = np.minimum(col + 1, 40)
-        for m, sign in enumerate((1.0, -1.0)):
-            ref = reference_mc_first_crossing(0.0, 40, 1.0, sign * normals, b_path)
-            assert np.array_equal(s[m], ref[0]) and np.array_equal(x[m], ref[1])
-            assert np.any(x[m] == b_path[s[m]]) and np.any(s[m] == 40)
+    @staticmethod
+    def _kernel(s, x0, dt, normals, b_path, running):
+        """The kernel over ``normals`` of shape ``(pairs, steps)``, its scratch made here."""
+        walk = normals.T.copy()
+        return _kernels.mc_first_crossing(s, x0, dt, walk, np.empty(walk.shape, dtype=bool),
+                                          b_path[1:], running)
 
-    def test_stopped_member_rides_along(self):
-        # A member started at -inf never crosses; its partner walks as alone.
+    def test_kernel_matches_step_loop_on_ties(self):
+        # Integer steps against levels at integers from x0 land exactly on
+        # the boundary: S = b - x0 for the first member, S = x0 - b for the
+        # second.
+        normals = np.round(np.random.default_rng(4).normal(size=(300, 40)))
+        for x0 in (0.0, 0.5):
+            b_path = np.full(41, 2.0 + x0)
+            b_path[::7] = 3.0 + x0
+            s, running = np.zeros(300), np.ones((2, 300), dtype=bool)
+            col, x = self._kernel(s, x0, 1.0, normals, b_path, running)
+            step = np.minimum(col + 1, 40)
+            ref_step, ref_x, ref_s, ref_running = reference_mc_pair_crossing(x0, 1.0, normals,
+                                                                             b_path)
+            assert np.array_equal(step, ref_step) and np.array_equal(x, ref_x)
+            assert np.array_equal(running, ref_running) and running.any()
+            live = running.any(axis=0)
+            assert np.array_equal(s[live], ref_s[live])
+            for m, sign in enumerate((1.0, -1.0)):
+                old = reference_mc_first_crossing(x0, 40, 1.0, sign * normals, b_path)
+                assert np.array_equal(step[m], old[0]) and np.array_equal(x[m], old[1])
+                assert np.any(x[m] == b_path[step[m]]) and np.any(step[m] == 40)
+
+    def test_masked_member_never_crosses(self):
+        # A member flagged as stopped never crosses, though its walk would;
+        # its partner walks as alone.
         normals = np.random.default_rng(5).normal(size=(300, 40))
         b_path = np.full(41, 1.5)
-        walks = np.stack([normals.T, np.empty((40, 300))])
-        start = np.array([np.zeros(300), np.full(300, -np.inf)])
-        col, x = _kernels.mc_first_crossing(start, 0.1, walks, b_path[1:])
+        s = np.zeros(300)
+        running = np.array([np.ones(300, dtype=bool), np.zeros(300, dtype=bool)])
+        col, x = self._kernel(s, 0.0, 0.1, normals, b_path, running)
         ref = reference_mc_first_crossing(0.0, 40, 0.1, normals, b_path)
         assert np.array_equal(np.minimum(col[0] + 1, 40), ref[0])
         assert np.array_equal(x[0], ref[1]) and np.any(col[0] < 40)
-        assert np.all(col[1] == 40) and np.all(x[1] == -np.inf)
+        assert np.array_equal(running[0], col[0] == 40) and not running[1].any()
+        assert np.any(reference_mc_first_crossing(0.0, 40, 0.1, -normals, b_path)[0] < 40)
+        assert np.all(col[1] == 40) and np.array_equal(x[1], -s)
+
+    @pytest.mark.parametrize("x0", [-0.5, 0.0, 0.3])
+    def test_pair_loop_matches_member_loop(self, linear, x0):
+        # One displacement per pair puts each member at x0 + S or x0 - S,
+        # one rounding, where the member loop rounds its position from x0 at
+        # every one of up to 400 steps: the same stop steps, positions at
+        # most 22 ulps of max(|x|, 1) apart on these seeds, and at x0 = 0
+        # the same bits.
+        dt, b_path = _mc_b_path(-1.0, self._boundary(linear), 400)
+        for seed in (3, 6, 11):
+            normals = np.random.default_rng(seed).standard_normal((1000, 400))
+            step, x, _, _ = reference_mc_pair_crossing(x0, dt, normals, b_path)
+            assert np.any(step < 400) and np.any(step == 400)
+            for m, sign in enumerate((1.0, -1.0)):
+                old_step, old_x = reference_mc_first_crossing(x0, 400, dt, sign * normals, b_path)
+                assert np.array_equal(step[m], old_step)
+                if x0 == 0.0:
+                    assert np.array_equal(x[m], old_x)
+                ulp = np.spacing(np.maximum(np.abs(old_x), 1.0))
+                assert np.all(np.abs(x[m] - old_x) <= 32 * ulp)
 
     @pytest.mark.parametrize("x0", [-0.5, 0.0, 0.3, 0.9])
     def test_matches_one_shot_reference(self, monkeypatch, linear, x0):
@@ -490,16 +531,16 @@ class TestMonteCarlo:
 
     @staticmethod
     def _counted(monkeypatch):
-        """Record the shape of every chunk's walks, and of every draw by stream.
+        """Record the shape of every chunk's walk, and of every draw by stream.
 
         Streams are keyed by the spawn key of their generator's seed.
         """
         shapes, draws = [], {}
         kernel, default_rng = _kernels.mc_first_crossing, np.random.default_rng
 
-        def counted(x, dt, walks, b):
-            shapes.append(walks.shape)
-            return kernel(x, dt, walks, b)
+        def counted(s, x0, dt, walk, hit, b, running):
+            shapes.append(walk.shape)
+            return kernel(s, x0, dt, walk, hit, b, running)
 
         class CountingRng:
             def __init__(self, seed):
@@ -537,7 +578,7 @@ class TestMonteCarlo:
                 assert sorted(draws) == [(0,), (1,)]
                 for drawn in draws.values():
                     assert [w for w, _ in drawn] == ([] if stops_at_once else schedule)
-                assert sorted(shapes) == sorted((2,) + d for v in draws.values() for d in v)
+                assert sorted(shapes) == sorted(d for v in draws.values() for d in v)
 
     def test_draws_only_for_running_paths(self, monkeypatch, linear):
         # Chunks of 20 steps, each drawn only for the pairs left in its
@@ -549,8 +590,8 @@ class TestMonteCarlo:
         for drawn in draws.values():
             rows = [r for _, r in drawn]
             assert rows[0] == 500 and rows == sorted(rows, reverse=True) and rows[-1] < 500
-        assert sorted(shapes) == sorted((2,) + d for v in draws.values() for d in v)
-        assert sum(w * r for _, w, r in shapes) < 1000 * 400
+        assert sorted(shapes) == sorted(d for v in draws.values() for d in v)
+        assert sum(w * r for w, r in shapes) < 1000 * 400
 
     def test_stop_at_once_draws_nothing(self, monkeypatch, linear):
         shapes, draws = self._counted(monkeypatch)
@@ -569,10 +610,10 @@ class TestMonteCarlo:
         error = RuntimeError("second stream failed")
         kernel = _kernels.mc_first_crossing
 
-        def failing(x, dt, walks, b):
-            if x.shape[1] == 501:
+        def failing(s, x0, dt, walk, hit, b, running):
+            if walk.shape[1] == 501:
                 raise error
-            return kernel(x, dt, walks, b)
+            return kernel(s, x0, dt, walk, hit, b, running)
 
         monkeypatch.setattr(_kernels, "mc_first_crossing", failing)
         threads = threading.active_count()
@@ -591,3 +632,16 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    def test_peak_memory_one_walk_per_pair(self, linear):
+        # Chunks of 52 steps over 10000 pairs: one float walk buffer and its
+        # boolean hit scratch per stream, 4.2 and 0.5 MB over both.  A
+        # second walk per pair would add 4.2 MB.
+        b = self._boundary(linear)
+        tracemalloc.start()
+        try:
+            oracle.mc_value(linear, -1.0, 0.0, b, 20000, 5, n_steps=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
